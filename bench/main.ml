@@ -413,86 +413,18 @@ let oom () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* Pre-filter side-by-side: the escape-based instance pruning on vs.    *)
-(* off, per subject.  Warnings must be identical; the graphs shrink by  *)
-(* however many tracked allocations were resolved intraprocedurally.    *)
-(* Subjects are seed-fixed, so every column reproduces exactly.         *)
-(* ------------------------------------------------------------------ *)
-
-let prefilter () =
-  header "Pre-filter: escape-resolved instances (on vs off)"
-    "instance pruning ablation";
-  Printf.printf "%-10s %4s %8s %9s %9s %6s %6s %8s %6s\n" "subject" "pf"
-    "|V|" "#E0" "#EA" "#filt" "warns" "time" "same";
-  let fsms =
-    List.filter_map
-      (fun (c : Checkers.t) ->
-        match c.Checkers.kind with
-        | `Typestate fsm -> Some fsm
-        | `Exception_walk _ -> None)
-      (Checkers.all ())
-  in
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
-      let run on =
-        let workdir =
-          Filename.concat root_workdir (Printf.sprintf "pf-%s-%b" name on)
-        in
-        let config =
-          { (Pipeline.default_config ~workdir) with
-            Pipeline.library_throwers = Checkers.Specs.library_throwers;
-            prefilter_properties = (if on then fsms else []) }
-        in
-        let t0 = Unix.gettimeofday () in
-        let prepared =
-          Pipeline.prepare ~config ~workdir subject.Generator.program
-        in
-        let results, props = Checkers.run_all prepared (Checkers.all ()) in
-        let dt = Unix.gettimeofday () -. t0 in
-        (Pipeline.stats prepared props, results, dt)
-      in
-      let signature results =
-        List.concat_map
-          (fun (checker, reports) ->
-            List.map
-              (fun (r : Grapple.Report.t) ->
-                ( checker,
-                  Grapple.Report.kind_to_string r.Grapple.Report.kind,
-                  r.Grapple.Report.alloc_at.Jir.Ast.line ))
-              reports)
-          results
-        |> List.sort compare
-      in
-      let s_off, r_off, t_off = run false in
-      let s_on, r_on, t_on = run true in
-      let warns rs =
-        List.fold_left (fun acc (_, l) -> acc + List.length l) 0 rs
-      in
-      let same = signature r_off = signature r_on in
-      let row tag (s : Pipeline.stats) rs dt same_col =
-        Printf.printf "%-10s %4s %8d %9d %9d %6d %6d %8s %6s\n" name tag
-          s.Pipeline.n_vertices s.Pipeline.n_edges_before
-          s.Pipeline.n_edges_after s.Pipeline.n_prefiltered (warns rs)
-          (hms dt) same_col
-      in
-      row "off" s_off r_off t_off "";
-      row "on" s_on r_on t_on (if same then "yes" else "NO!"))
-    (Generator.all_subjects ())
-
-(* ------------------------------------------------------------------ *)
-(* Summary pre-filter side-by-side (ISSUE 2): escape filter alone vs.   *)
-(* escape + interprocedural summary triage.  The summary stage must     *)
-(* prune strictly more instances with zero change in reported warnings  *)
-(* (TP and FP identical), and the --interproc lints must catch planted  *)
-(* whole-program bugs the intraprocedural linter misses.                *)
+(* Summary pre-filter side-by-side: no triage vs. the interprocedural   *)
+(* summary tier alone.  The summary stage must prune instances with     *)
+(* zero change in reported warnings (TP and FP identical), and the      *)
+(* --interproc lints must catch planted whole-program bugs the          *)
+(* intraprocedural linter misses.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let summaries () =
   header "Summary pre-filter: interprocedural typestate triage (on vs off)"
     "sound pipeline triage ablation + whole-program lints";
-  Printf.printf "%-10s %4s %8s %9s %6s %6s %6s %6s %6s %8s %6s\n" "subject"
-    "sf" "|V|" "#EA" "#esc" "#sum" "TP" "FP" "warns" "time" "same";
+  Printf.printf "%-10s %4s %8s %9s %6s %6s %6s %6s %8s %6s\n" "subject"
+    "sf" "|V|" "#EA" "#sum" "TP" "FP" "warns" "time" "same";
   let fsms =
     List.filter_map
       (fun (c : Checkers.t) ->
@@ -513,7 +445,8 @@ let summaries () =
           { (Pipeline.default_config ~workdir) with
             Pipeline.library_throwers = Checkers.Specs.library_throwers;
             prefilter_properties = fsms;
-            summary_prefilter = on }
+            summary_prefilter = on;
+            alias_prefilter = false }
         in
         let t0 = Unix.gettimeofday () in
         let prepared =
@@ -556,17 +489,16 @@ let summaries () =
       let same = signature r_off = signature r_on in
       let row tag (s : Pipeline.stats) rs dt same_col =
         let tp, fp = tp_fp rs in
-        Printf.printf "%-10s %4s %8d %9d %6d %6d %6d %6d %6d %8s %6s\n" name
+        Printf.printf "%-10s %4s %8d %9d %6d %6d %6d %6d %8s %6s\n" name
           tag s.Pipeline.n_vertices s.Pipeline.n_edges_after
-          s.Pipeline.n_prefiltered s.Pipeline.n_summary_pruned tp fp (warns rs)
-          (hms dt) same_col
+          s.Pipeline.n_summary_pruned tp fp (warns rs) (hms dt) same_col
       in
       row "off" s_off r_off t_off "";
       row "on" s_on r_on t_on (if same then "yes" else "NO!"))
     (Generator.all_subjects ());
   print_endline
-    "\nshape check: the summary stage prunes instances the escape filter\n\
-     cannot (#sum > 0 on top of #esc) with identical warnings and TP/FP.";
+    "\nshape check: the summary stage alone prunes instances (#sum > 0)\n\
+     with identical warnings and TP/FP.";
   (* the --interproc lint surface, scored against the planted
      interprocedural bugs the intraprocedural linter cannot see *)
   header "Whole-program lints (grapple lint --interproc)"
@@ -598,19 +530,18 @@ let summaries () =
      ones (intraproc TP = 0)."
 
 (* ------------------------------------------------------------------ *)
-(* Points-to triage side-by-side (ISSUE 7): escape + summaries alone    *)
-(* vs. the full three-tier triage with the closure-graph slicer.  The   *)
-(* points-to stage must prune instances the first two tiers keep and    *)
-(* slice alias edges before phase 1, with zero change in reported       *)
-(* warnings; the pointsto lints must catch planted heap-flow bugs.      *)
+(* Points-to triage side-by-side: no triage vs. the full two-tier       *)
+(* triage with the closure-graph slicer.  The points-to stage must      *)
+(* prune instances the summary tier keeps and slice alias edges before  *)
+(* phase 1, with zero change in reported warnings; the pointsto lints   *)
+(* must catch planted heap-flow bugs.                                   *)
 (* ------------------------------------------------------------------ *)
 
 let alias () =
   header "Points-to pre-filter and slicer: Andersen triage (on vs off)"
     "sound pipeline triage ablation + closure-graph slicing";
-  Printf.printf "%-10s %4s %9s %9s %6s %6s %6s %8s %6s %8s %6s\n" "subject"
-    "ap" "|E|pre" "|E|after" "#esc" "#sum" "#pt" "sliced" "warns" "time"
-    "same";
+  Printf.printf "%-10s %4s %9s %9s %6s %6s %8s %6s %8s %6s\n" "subject"
+    "ap" "|E|pre" "|E|after" "#sum" "#pt" "sliced" "warns" "time" "same";
   let fsms =
     List.filter_map
       (fun (c : Checkers.t) ->
@@ -630,6 +561,7 @@ let alias () =
           { (Pipeline.default_config ~workdir) with
             Pipeline.library_throwers = Checkers.Specs.library_throwers;
             prefilter_properties = fsms;
+            summary_prefilter = on;
             alias_prefilter = on }
         in
         let t0 = Unix.gettimeofday () in
@@ -659,19 +591,18 @@ let alias () =
       in
       let same = signature r_off = signature r_on in
       let row tag (s : Pipeline.stats) rs dt same_col =
-        Printf.printf "%-10s %4s %9d %9d %6d %6d %6d %8d %6d %8s %6s\n" name
+        Printf.printf "%-10s %4s %9d %9d %6d %6d %8d %6d %8s %6s\n" name
           tag s.Pipeline.n_edges_presliced s.Pipeline.n_edges_after
-          s.Pipeline.n_prefiltered s.Pipeline.n_summary_pruned
-          s.Pipeline.n_alias_pruned s.Pipeline.n_edges_sliced (warns rs)
-          (hms dt) same_col
+          s.Pipeline.n_summary_pruned s.Pipeline.n_alias_pruned
+          s.Pipeline.n_edges_sliced (warns rs) (hms dt) same_col
       in
       row "off" s_off r_off t_off "";
       row "on" s_on r_on t_on (if same then "yes" else "NO!"))
     (Generator.all_subjects ());
   print_endline
-    "\nshape check: the points-to stage prunes instances escape and the\n\
-     summaries both keep (#pt > 0 on top of #esc/#sum) and slices alias\n\
-     edges before phase 1 (sliced > 0), with identical warnings.";
+    "\nshape check: the points-to stage prunes instances the summaries\n\
+     keep (#pt > 0 on top of #sum) and slices alias edges before phase 1\n\
+     (sliced > 0), with the warnings of the untriaged run.";
   (* the pointsto lint surface, scored against the planted heap-flow bugs
      the intraprocedural linter cannot see *)
   header "Whole-program lints (grapple lint --interproc, pointsto)"
@@ -1268,8 +1199,8 @@ let baseline () =
 let dsl_checkers () =
   header "DSL checkers: spec-defined properties vs ground truth"
     "property DSL extension, not a paper experiment";
-  Printf.printf "%-11s %-10s %9s %6s %5s %6s %4s %4s %4s %8s\n" "checker"
-    "subject" "|E|after" "#filt" "#spr" "warns" "TP" "FP" "FN" "time";
+  Printf.printf "%-11s %-10s %9s %5s %6s %4s %4s %4s %8s\n" "checker"
+    "subject" "|E|after" "#spr" "warns" "TP" "FP" "FN" "time";
   let row label (subject : Generator.subject) (c : Checkers.t) ~score_as =
     let name = subject.Generator.profile.Generator.name in
     let workdir =
@@ -1301,9 +1232,9 @@ let dsl_checkers () =
       Scoring.score ~checker:score_as ~expected:subject.Generator.expected
         ~reports ()
     in
-    Printf.printf "%-11s %-10s %9d %6d %5d %6d %4d %4d %4d %8s\n" label name
-      stats.Pipeline.n_edges_after stats.Pipeline.n_prefiltered
-      stats.Pipeline.n_summary_pruned (List.length reports)
+    Printf.printf "%-11s %-10s %9d %5d %6d %4d %4d %4d %8s\n" label name
+      stats.Pipeline.n_edges_after stats.Pipeline.n_summary_pruned
+      (List.length reports)
       s.Scoring.tp s.Scoring.fp s.Scoring.fn (hms dt)
   in
   row "lock_order" (Generator.mini_locks ())
@@ -1458,10 +1389,6 @@ let megaload ~fast () =
   Printf.printf
     "  warnings byte-identical across workers {1,4} x shard-procs {1,4}: %s\n"
     (if identical then "yes" else "NO — DIVERGENCE");
-  let tracked =
-    stats.Pipeline.n_prefiltered + stats.Pipeline.n_summary_pruned
-    + stats.Pipeline.n_alias_pruned
-  in
   let edges_per_s =
     if stats.Pipeline.compute_s > 0. then
       float_of_int stats.Pipeline.edges_added /. stats.Pipeline.compute_s
@@ -1469,18 +1396,16 @@ let megaload ~fast () =
   in
   let rss = peak_rss_kb () in
   Printf.printf
-    "  edges/s=%.0f peak_rss=%dMB prefiltered=%d summary_pruned=%d \
-     alias_pruned=%d\n"
-    edges_per_s (rss / 1024) stats.Pipeline.n_prefiltered
-    stats.Pipeline.n_summary_pruned stats.Pipeline.n_alias_pruned;
-  ignore tracked;
+    "  edges/s=%.0f peak_rss=%dMB summary_pruned=%d alias_pruned=%d\n"
+    edges_per_s (rss / 1024) stats.Pipeline.n_summary_pruned
+    stats.Pipeline.n_alias_pruned;
   let wall_of (_, _, w) = w in
   record_megaload_json
     (Printf.sprintf
-       {|{"units":%d,"loc":%d,"n_methods":%d,"gen_s":%.3f,"wall_s_workers1":%.3f,"wall_s_workers4":%.3f,"wall_s_shard1":%.3f,"wall_s_shard4":%.3f,"edges_added":%d,"edges_per_s":%.1f,"peak_rss_kb":%d,"n_prefiltered":%d,"n_summary_pruned":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"byte_identical":%b}|}
+       {|{"units":%d,"loc":%d,"n_methods":%d,"gen_s":%.3f,"wall_s_workers1":%.3f,"wall_s_workers4":%.3f,"wall_s_shard1":%.3f,"wall_s_shard4":%.3f,"edges_added":%d,"edges_per_s":%.1f,"peak_rss_kb":%d,"n_summary_pruned":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"byte_identical":%b}|}
        units subject.Generator.loc subject.Generator.n_methods gen_s wall
        (wall_of w4) (wall_of shard1) (wall_of shard4)
-       stats.Pipeline.edges_added edges_per_s rss stats.Pipeline.n_prefiltered
+       stats.Pipeline.edges_added edges_per_s rss
        stats.Pipeline.n_summary_pruned stats.Pipeline.n_alias_pruned
        stats.Pipeline.n_edges_presliced stats.Pipeline.n_edges_sliced
        identical);
@@ -1505,7 +1430,6 @@ let () =
       ("table5", fun () -> table5 ~fast ());
       ("oom", fun () -> oom ());
       ("ablation", fun () -> ablation ());
-      ("prefilter", fun () -> prefilter ());
       ("summaries", fun () -> summaries ());
       ("alias", fun () -> alias ());
       ("faults", fun () -> faults ());

@@ -79,12 +79,6 @@ let json_arg =
   Arg.(value & flag
        & info [ "json" ] ~doc:"print one JSON report per line (machine-readable)")
 
-let no_prefilter_arg =
-  Arg.(value & flag
-       & info [ "no-prefilter" ]
-           ~doc:"disable the escape-based pre-filter; every tracked \
-                 allocation goes through the engine")
-
 (* Checkers loaded from --spec files; a positioned diagnostic exits 2. *)
 let load_specs files =
   List.concat_map
@@ -243,7 +237,7 @@ let smt_budget_arg =
                  feasible, counted in the smt-budget-hits stat")
 
 let check_cmd =
-  let run file checkers specs unroll paths trace_out metrics_out json no_prefilter
+  let run file checkers specs unroll paths trace_out metrics_out json
       no_summary_prefilter no_alias_prefilter workdir_opt resume_opt
       instance_budget edge_budget max_retries fault_plan smt_budget workers_opt
       admission_budget shard_procs_opt heartbeat_ms max_redispatch
@@ -335,7 +329,6 @@ let check_cmd =
             Grapple.Pipeline.unroll_bound = unroll;
             library_throwers = Checkers.Specs.library_throwers;
             track_null = List.mem "null" names;
-            prefilter = not no_prefilter;
             prefilter_properties;
             summary_prefilter = not no_summary_prefilter;
             alias_prefilter = not no_alias_prefilter;
@@ -418,10 +411,9 @@ let check_cmd =
         in
         summary
           "\n%d warning(s); |V|=%d |E|before=%d |E|after=%d partitions=%d \
-           iterations=%d constraints=%d cache=%s prefiltered=%d \
-           summary-pruned=%d alias-pruned=%d sliced=%d retried=%d \
-           recovered=%d inconclusive=%d smt-budget-hits=%d \
-           faults-injected=%d\n"
+           iterations=%d constraints=%d cache=%s summary-pruned=%d \
+           alias-pruned=%d sliced=%d retried=%d recovered=%d \
+           inconclusive=%d smt-budget-hits=%d faults-injected=%d\n"
           !total stats.Grapple.Pipeline.n_vertices
           stats.Grapple.Pipeline.n_edges_before
           stats.Grapple.Pipeline.n_edges_after
@@ -429,7 +421,6 @@ let check_cmd =
           stats.Grapple.Pipeline.n_iterations
           stats.Grapple.Pipeline.n_constraints_solved
           cache_cell
-          stats.Grapple.Pipeline.n_prefiltered
           stats.Grapple.Pipeline.n_summary_pruned
           stats.Grapple.Pipeline.n_alias_pruned
           stats.Grapple.Pipeline.n_edges_sliced
@@ -450,7 +441,7 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc:"run property checkers on a JIR file")
     Term.(const run $ file_arg $ checkers_arg $ spec_arg $ unroll_arg $ paths_arg
-          $ trace_out_arg $ metrics_json_arg $ json_arg $ no_prefilter_arg
+          $ trace_out_arg $ metrics_json_arg $ json_arg
           $ no_summary_prefilter_arg $ no_alias_prefilter_arg $ workdir_arg
           $ resume_arg
           $ instance_budget_arg $ edge_budget_arg $ max_retries_arg
@@ -709,10 +700,11 @@ let fuzz_cmd =
                    corpus output)")
   in
   let weaken_arg =
-    Arg.(value & opt (some string) None
+    let tiers = [ ("summary", "summary"); ("alias", "alias") ] in
+    Arg.(value & opt (some (enum tiers)) None
          & info [ "weaken-tier" ] ~docv:"TIER"
              ~doc:"TESTING ONLY: deliberately break a triage tier \
-                   (escape|summary|alias) so the harness itself can be \
+                   (summary|alias) so the harness itself can be \
                    validated — a weakened run must fail")
   in
   let run iters seed runs corpus_dir weaken workers_opt shard_procs_opt

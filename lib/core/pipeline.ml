@@ -20,7 +20,6 @@ module Transfn = Cfl.Transfn
 
 module Alias_engine = Engine.Make (Cfl.Pointer_grammar)
 module Dataflow_engine = Engine.Make (Cfl.Dataflow_grammar)
-module Escape = Analysis.Escape
 
 type config = {
   workdir : string;
@@ -34,23 +33,20 @@ type config = {
       (* materialize [null] pseudo-allocations in the alias graph so the
          null-dereference checker can track them; off by default because
          the extra sources enlarge the closure for every property *)
-  prefilter : bool;
-      (* resolve provably non-escaping tracked allocations intraprocedurally
-         (Analysis.Escape) and keep them out of the alias/dataflow graphs *)
   prefilter_properties : Fsm.t list;
-      (* the FSMs whose tracked classes the pre-filter may resolve; empty
-         disables the pre-filter regardless of [prefilter] *)
+      (* the FSMs whose tracked classes the triage tiers may prune; empty
+         disables pruning in both tiers *)
   summary_prefilter : bool;
-      (* second triage stage (ISSUE 2): prune tracked allocations whose
+      (* first triage stage: prune tracked allocations whose
          over-approximating interprocedural typestate closure
          (Analysis.Summaries) never reaches the FSM error state and never
          ends life in a non-accepting state — no report is possible, so
-         they are excluded from the graphs with no local re-check *)
+         they are excluded from the graphs *)
   alias_prefilter : bool;
-      (* third triage stage (ISSUE 7): whole-program Andersen points-to.
+      (* second triage stage: whole-program Andersen points-to.
          Tracked allocations whose points-to-reachable region can never
          flow into an event-bearing statement are pruned before instance
-         creation (strictly beyond escape+summaries: field-sensitive flow
+         creation (strictly beyond summaries: field-sensitive flow
          through the heap is visible here), and Assign-labeled alias-graph
          edges no allocation can cross are sliced away before phase 1 —
          both at byte-identical warnings.  Pruning needs
@@ -98,12 +94,11 @@ type config = {
       (* deterministic fault injection: SIGKILL the worker receiving the
          Nth instance assignment of the run (0 = off) *)
   weaken_tier : string option;
-      (* TEST-ONLY soundness-harness hook (ISSUE 9): deliberately break one
-         triage tier so the reference-interpreter fuzzer can prove it would
-         catch a tier that drops reports.  ["escape"] keeps the escape
-         filter's exclusions but discards the local re-check (its reports
-         are silently lost); ["summary"]/["alias"] prune *every* tracked
-         allocation at that tier instead of only the proven-clean ones.
+      (* TEST-ONLY soundness-harness hook: deliberately break one triage
+         tier so the reference-interpreter fuzzer can prove it would catch
+         a tier that drops reports.  ["summary"]/["alias"] prune *every*
+         tracked allocation at that tier instead of only the proven-clean
+         ones; [prepare] rejects any other name with [Invalid_argument].
          [None] (the default, and the only value the CLI's check command
          can produce) changes nothing *)
 }
@@ -116,7 +111,6 @@ let default_config ~workdir =
     engine = Engine.default_config ~workdir;
     library_throwers = [];
     track_null = false;
-    prefilter = true;
     prefilter_properties = [];
     summary_prefilter = true;
     alias_prefilter = true;
@@ -185,8 +179,6 @@ type prepared = {
   alias_engine : Alias_engine.t;
   flows : Dataflow_graph.flows;
   n_alias_pairs : int;
-  prefiltered : Escape.resolved list;
-      (* tracked allocations resolved locally, excluded from the graphs *)
   summary_pruned : int list;
       (* allocation sids the interprocedural summary pre-filter proved
          unreportable for every property tracking their class; excluded
@@ -295,29 +287,16 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
     timed_span "phase0.clones" pre (fun () ->
         Clone_tree.build ~max_instances:config.max_instances icfet callgraph)
   in
-  (* escape-based pre-filter (ISSUE 1): tracked allocations that provably
-     never leave their method are resolved locally in [check_property];
-     exclude them from the alias graph so neither closure ever sees them *)
-  let prefiltered =
-    timed_span "phase0.escape_prefilter" pre (fun () ->
-        if config.prefilter && config.prefilter_properties <> [] then
-          let tracked cls =
-            List.exists
-              (fun f -> Fsm.is_tracked f cls)
-              config.prefilter_properties
-          in
-          Escape.analyze ~tracked program
-        else [])
-  in
+  (match config.weaken_tier with
+  | None | Some ("summary" | "alias") -> ()
+  | Some t -> invalid_arg ("Pipeline.prepare: unknown weaken_tier " ^ t));
+  (* allocation sids a triage tier pruned: kept out of both closures *)
   let excluded = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Escape.resolved) -> Hashtbl.replace excluded r.Escape.sid ())
-    prefiltered;
-  (* summary-based pre-filter (ISSUE 2): an allocation is pruned only when
-     every property tracking its class proves it clean — the abstraction
+  (* summary-based pre-filter: an allocation is pruned only when every
+     property tracking its class proves it clean — the abstraction
      over-approximates realizable event sequences, so neither closure can
-     produce a report for it.  Unlike the escape filter, pruned allocations
-     need no local re-check: clean means no report at all. *)
+     produce a report for it.  Pruned allocations need no re-check: clean
+     means no report at all. *)
   let summary_pruned =
     timed_span "phase0.summary_prefilter" pre (fun () ->
         if config.summary_prefilter && config.prefilter_properties <> [] then begin
@@ -335,8 +314,7 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
             config.prefilter_properties;
           Hashtbl.fold
             (fun sid () acc ->
-              if Hashtbl.mem dirty sid || Hashtbl.mem excluded sid then acc
-              else sid :: acc)
+              if Hashtbl.mem dirty sid then acc else sid :: acc)
             clean []
           |> List.sort compare
         end
@@ -479,12 +457,8 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   let alias_engine, flows, n_alias_pairs = run_alias 0 in
   timing.preprocess_s <- !pre;
   timing.compute_s <- !comp;
-  (* weakened-escape hook: keep the exclusions but lose the local re-check *)
-  let prefiltered =
-    if config.weaken_tier = Some "escape" then [] else prefiltered
-  in
   { config; program; icfet; callgraph; clones; alias_graph; alias_engine;
-    flows; n_alias_pairs; prefiltered; summary_pruned; alias_pruned;
+    flows; n_alias_pairs; summary_pruned; alias_pruned;
     n_edges_presliced; n_edges_sliced; timing; faults;
     sup_reg = Obs.Registry.create () }
 
@@ -545,66 +519,6 @@ let witness_of_constraint (f : Smt.Formula.t) : (string * int) list =
   | Smt.Solver.Model_sat None | Smt.Solver.Model_unsat
   | Smt.Solver.Model_unknown ->
       []
-
-(* Phase 3 for one pre-filtered allocation: run the FSM directly over the
-   event sequence of each feasible local path.  Leaks need no exit-kind
-   check: qualified methods have no exceptional exits, so every complete
-   path ends in a normal return. *)
-let prefiltered_reports (fsm : Fsm.t) (r : Escape.resolved) : Report.t list =
-  (* the enumerator recorded the raw call statements; resolve each against
-     this property's event matcher so declared patterns and guards agree
-     with the graph builder *)
-  let call_of_stmt (s : Jir.Ast.stmt) =
-    match s.Jir.Ast.kind with
-    | Jir.Ast.Expr c
-    | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rcall c))
-    | Jir.Ast.Assign (_, Jir.Ast.Rcall c) ->
-        Some c
-    | _ -> None
-  in
-  List.concat_map
-    (fun (path : Escape.path) ->
-      match Smt.Solver.check path.Escape.cond with
-      | Smt.Solver.Unsat -> []
-      | Smt.Solver.Sat | Smt.Solver.Unknown ->
-          let state, error_site =
-            List.fold_left
-              (fun (st, site) (_, (s : Jir.Ast.stmt)) ->
-                match
-                  Option.bind (call_of_stmt s)
-                    (Fsm.call_event fsm ~meth:r.Escape.meth)
-                with
-                | None -> (st, site)
-                | Some ev ->
-                    let st' = Fsm.step fsm st ev in
-                    if site = None && st' = fsm.Fsm.error then
-                      (st', Some s.Jir.Ast.at)
-                    else (st', site))
-              (fsm.Fsm.initial, None) path.Escape.events
-          in
-          let mk kind site =
-            { Report.checker = fsm.Fsm.name;
-              kind;
-              cls = r.Escape.cls;
-              alloc_at = r.Escape.at;
-              site;
-              context = [ r.Escape.meth_id ];
-              witness = witness_of_constraint path.Escape.cond;
-              trace =
-                [ Printf.sprintf "%s (%s:%d)" r.Escape.meth_id
-                    r.Escape.at.Jir.Ast.file r.Escape.at.Jir.Ast.line ] }
-          in
-          if state = fsm.Fsm.error then
-            [ mk
-                (Report.Error_state
-                   (Fsm.describe_state fsm state ~cls:r.Escape.cls))
-                error_site ]
-          else if not (Fsm.is_accepting fsm state) then
-            [ mk
-                (Report.Leak (Fsm.describe_state fsm state ~cls:r.Escape.cls))
-                None ]
-          else [])
-    r.Escape.paths
 
 (* The degraded stand-in for an instance the supervisor gave up on: one
    [Inconclusive] report so the gap in coverage is visible in the output,
@@ -736,16 +650,6 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~(acct : acct) ~resume :
                 | _ -> ()
               end
           | _ -> ()));
-  (* allocations the pre-filter kept out of the graphs are checked here,
-     against the same FSM, from their locally-enumerated event paths *)
-  timed_span "phase3.prefiltered" chk (fun () ->
-      List.iter
-        (fun (r : Escape.resolved) ->
-          if Fsm.is_tracked fsm r.Escape.cls then
-            List.iter
-              (fun rep -> reports := rep :: !reports)
-              (prefiltered_reports fsm r))
-        p.prefiltered);
   acct.a_compute_s <- acct.a_compute_s +. !comp;
   acct.a_check_s <- acct.a_check_s +. !chk;
   { fsm; reports = Report.dedup (List.rev !reports); degraded = None;
@@ -1164,7 +1068,10 @@ type stats = {
   bytes_read : int;    (* partition bytes read across all engines *)
   bytes_written : int; (* partition bytes written across all engines *)
   breakdown : (string * float) list;
-  n_prefiltered : int;  (* tracked allocations resolved without the engine *)
+  n_prefiltered : int;
+      (* always 0: the escape tier that resolved allocations without the
+         engine is gone; the field stays until the benchmark driver stops
+         reading it *)
   n_summary_pruned : int;
       (* tracked allocations the interprocedural summary stage dropped *)
   n_alias_pruned : int;
@@ -1266,7 +1173,6 @@ let stats (p : prepared) (props : property_result list) : stats =
   set_g "pipeline.preprocess_s" p.timing.preprocess_s;
   set_g "pipeline.compute_s" p.timing.compute_s;
   set_g "pipeline.check_s" p.timing.check_s;
-  set_c "pipeline.prefiltered" (List.length p.prefiltered);
   set_c "pipeline.summary_pruned" (List.length p.summary_pruned);
   set_c "pipeline.alias_pruned" (List.length p.alias_pruned);
   set_c "pipeline.edges_sliced" p.n_edges_sliced;
@@ -1291,7 +1197,7 @@ let stats (p : prepared) (props : property_result list) : stats =
     bytes_read = count m.Engine.Metrics.bytes_read;
     bytes_written = count m.Engine.Metrics.bytes_written;
     breakdown = Engine.Metrics.breakdown m;
-    n_prefiltered = List.length p.prefiltered;
+    n_prefiltered = 0;
     n_summary_pruned = List.length p.summary_pruned;
     n_alias_pruned = List.length p.alias_pruned;
     n_edges_presliced = p.n_edges_presliced;
@@ -1306,7 +1212,7 @@ let stats (p : prepared) (props : property_result list) : stats =
     registry = reg }
 
 (* Convenience wrapper: run every phase for a list of properties.  The
-   pre-filter defaults to resolving against exactly the properties being
+   triage tiers default to pruning against exactly the properties being
    checked; a caller-supplied non-empty [prefilter_properties] wins. *)
 let check ?config ~workdir program fsms =
   let config =

@@ -23,8 +23,8 @@ type pattern =
   | Preturn          (* the tracked reference is returned *)
 
 (* Guards are decided syntactically from the statement and its enclosing
-   method, so the graph builder, the summary pre-analysis, and the escape
-   pre-filter — which all detect events independently — agree exactly. *)
+   method, so the graph builder and the summary pre-analysis — which
+   detect events independently — agree exactly. *)
 type guard =
   | Garg_const of int * int
       (* argument [i] is the integer literal [n] *)
@@ -171,10 +171,10 @@ let is_event (t : t) event = List.mem event t.events
 (* ------------------------------------------------------------------ *)
 (* Event matching.                                                     *)
 (*                                                                     *)
-(* Three analyses detect events independently — the dataflow graph     *)
-(* builder, the summary pre-analysis, and the escape pre-filter — and  *)
-(* their answers must agree statement by statement or the pre-filters  *)
-(* become unsound.  Everything here is therefore a pure syntactic      *)
+(* Two analyses detect events independently — the dataflow graph      *)
+(* builder and the summary pre-analysis — and their answers must       *)
+(* agree statement by statement or the summary pre-filter becomes      *)
+(* unsound.  Everything here is therefore a pure syntactic             *)
 (* function of (statement, enclosing method).  The caller is           *)
 (* responsible for the "library call" test (call target not defined in *)
 (* the program); the matcher only resolves pattern and guards.         *)

@@ -103,8 +103,8 @@ type alias_map = (int * string * int * int, Encoding.t) Hashtbl.t
 (* (subject variable, event) fired by a statement, or [None].  The event
    resolution itself — name matching vs declared patterns and guards —
    lives in {!Fsm.call_event}/{!Fsm.store_event}/{!Fsm.return_event} so
-   that the summary pre-analysis and the escape pre-filter agree with the
-   graph builder statement by statement. *)
+   that the summary pre-analysis agrees with the graph builder statement
+   by statement. *)
 let stmt_event (fsm : Fsm.t) (icfet : Icfet.t) ~(meth : Jir.Ast.meth)
     (s : Jir.Ast.stmt) : (string * string) option =
   let of_call (c : Jir.Ast.call) =

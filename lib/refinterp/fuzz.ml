@@ -9,7 +9,7 @@
 
      (a) every concrete error-state trace or leak must be statically
          reported — a miss is a false negative smuggled through the
-         escape/summary/alias triage tiers;
+         summary/alias triage tiers;
      (b) every static report must be structurally valid — a real
          allocation (or throw) site whose claimed outcome the property
          FSM can produce.

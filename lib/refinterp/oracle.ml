@@ -1,13 +1,12 @@
-(* The soundness oracle (ISSUE 9): judge a static run against a concrete
-   one.
+(* The soundness oracle: judge a static run against a concrete one.
 
    Direction (a), no false negatives: every error state or leak a concrete
    execution actually exhibited must appear in the static report — through
-   whatever triage tier (escape / summary / alias) the allocation took and
-   at any worker/shard count.  The concrete trace is resolved with the same
+   whatever triage tier (summary / alias) the allocation took and at any
+   worker/shard count.  The concrete trace is resolved with the same
    [Fsm.call_event]/[store_event]/[return_event] matchers the graph
-   builder, the summaries, and the escape re-check share, so a divergence
-   is a real pipeline bug, never an event-vocabulary mismatch.
+   builder and the summaries share, so a divergence is a real pipeline
+   bug, never an event-vocabulary mismatch.
 
    Direction (b), witness feasibility: every static report must be
    *about* something real — an allocation of a class the property tracks

@@ -10,11 +10,11 @@ let fresh_workdir =
       (Printf.sprintf "grapple-test-pipe-%d-%d" (Unix.getpid ()) !counter)
 
 let check_src ?(checkers = Checkers.all ()) ?(track_null = false)
-    ?(prefilter = false) src =
+    ?(triage = false) src =
   let program = Jir.Resolve.parse_exn src in
   let workdir = fresh_workdir () in
   let prefilter_properties =
-    if prefilter then
+    if triage then
       List.filter_map
         (fun (c : Checkers.t) ->
           match c.Checkers.kind with
@@ -405,43 +405,89 @@ entry Main.main;
   Alcotest.(check bool) "breakdown has 4 components" true
     (List.length s.Grapple.Pipeline.breakdown = 4)
 
-(* ---------------- escape-based instance pre-filter ---------------- *)
+(* ---------------- triage tiers keep local-resource reports ---------------- *)
 
-let use_after_close_src = {|
+(* Single-method FileWriter programs, checked with every triage tier on:
+   a branch, a local alias, a call argument, a field store, a loop, and an
+   infeasible write-after-close.  Each row pins the warnings (checker,
+   kind, class, allocation line) the summary tier and the engine must
+   reach between them, and is one test case in the named suite.  The
+   "analysis escape ..." names are those of the unit tests of the former
+   escape tier, which resolved these programs before the summary tier and
+   the engine took them over. *)
+let triage_programs =
+  [ ( "analysis", "escape qualifies",
+      {|
 class Main {
-  void main(int x) {
+  void main(int p) {
     FileWriter w = new FileWriter();
-    w.close();
-    w.write(1);
+    if (p > 0) {
+      w.close();
+    }
     return;
   }
 }
 entry Main.main;
-|}
-
-let test_prefilter_same_reports () =
-  (* the pre-filter must not change what is reported, only where the work
-     happens: the non-escaping alloc is resolved intraprocedurally *)
-  let run prefilter =
-    let prepared, results, props =
-      check_src ~checkers:[ Checkers.io () ] ~prefilter use_after_close_src
-    in
-    (Grapple.Pipeline.stats prepared props, kinds (reports_of "io" results))
-  in
-  let s_off, k_off = run false in
-  let s_on, k_on = run true in
-  Alcotest.(check (list string)) "same warnings either way" k_off k_on;
-  Alcotest.(check (list string)) "still the use-after-close" [ "error" ] k_on;
-  Alcotest.(check int) "nothing filtered with the filter off" 0
-    s_off.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check int) "one allocation filtered" 1
-    s_on.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check bool) "alias graph shrinks" true
-    (s_on.Grapple.Pipeline.n_vertices < s_off.Grapple.Pipeline.n_vertices)
-
-let test_prefilter_leak_detected () =
-  let prepared, results, props =
-    check_src ~checkers:[ Checkers.io () ] ~prefilter:true {|
+|},
+      [ ("io", "leak (ends in Open)", "FileWriter", 4) ] );
+    ( "analysis", "escape aliasing",
+      {|
+class Main {
+  void main(int p) {
+    FileWriter w = new FileWriter();
+    FileWriter u = w;
+    u.close();
+    return;
+  }
+}
+entry Main.main;
+|},
+      [] );
+    ( "analysis", "escape call arg",
+      {|
+class H { void take(FileWriter f) { f.close(); return; } }
+class Main {
+  void main(int p) {
+    FileWriter w = new FileWriter();
+    H.take(w);
+    return;
+  }
+}
+entry Main.main;
+|},
+      [] );
+    ( "analysis", "escape field store",
+      {|
+class Main {
+  void main(int p) {
+    Holder h = new Holder();
+    FileWriter w = new FileWriter();
+    h.res = w;
+    w.close();
+    return;
+  }
+}
+entry Main.main;
+|},
+      [] );
+    ( "analysis", "escape loop",
+      {|
+class Main {
+  void main(int p) {
+    FileWriter w = new FileWriter();
+    int i = 0;
+    while (i < 2) {
+      i = i + 1;
+    }
+    w.close();
+    return;
+  }
+}
+entry Main.main;
+|},
+      [] );
+    ( "pipeline", "prefilter leak detected",
+      {|
 class Main {
   void main(int a) {
     FileWriter w = new FileWriter();
@@ -450,18 +496,10 @@ class Main {
   }
 }
 entry Main.main;
-|}
-  in
-  let s = Grapple.Pipeline.stats prepared props in
-  Alcotest.(check int) "resolved off-engine" 1 s.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check (list string)) "leak still reported" [ "leak" ]
-    (kinds (reports_of "io" results))
-
-let test_prefilter_path_sensitive () =
-  (* the filtered paths carry the same SMT constraints as the engine: the
-     infeasible error path must stay pruned *)
-  let prepared, results, props =
-    check_src ~checkers:[ Checkers.io () ] ~prefilter:true {|
+|},
+      [ ("io", "leak (ends in Open)", "FileWriter", 4) ] );
+    ( "pipeline", "prefilter path sensitive",
+      {|
 class Main {
   void main(int p) {
     FileWriter w = new FileWriter();
@@ -474,50 +512,31 @@ class Main {
   }
 }
 entry Main.main;
-|}
-  in
-  let s = Grapple.Pipeline.stats prepared props in
-  Alcotest.(check int) "resolved off-engine" 1 s.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check (list string)) "infeasible write-after-close pruned" []
-    (kinds (reports_of "io" results))
+|},
+      [] ) ]
 
-let test_prefilter_inert_on_escaping_allocs () =
-  (* figure 3b's writer escapes into an alias; the filter must leave it to
-     the engine and reproduce the paper's exact report *)
-  let run prefilter =
-    let prepared, results, props =
-      check_src ~checkers:[ Checkers.io () ] ~prefilter {|
-class Main {
-  void main(int a) {
-    FileWriter out = null;
-    FileWriter o = null;
-    int x = a;
-    int y = x;
-    if (x >= 0) {
-      out = new FileWriter();
-      o = out;
-      y = y - 1;
-    } else {
-      y = y + 1;
-    }
-    if (y > 0) {
-      out.write(x);
-      o.close();
-    }
-    return;
-  }
-}
-entry Main.main;
-|}
-    in
-    (Grapple.Pipeline.stats prepared props, kinds (reports_of "io" results))
+let check_triage_program src expected () =
+  let _, results, _ = check_src ~checkers:[ Checkers.io () ] ~triage:true src in
+  let got =
+    List.map
+      (fun (r : Grapple.Report.t) ->
+        ( r.Grapple.Report.checker,
+          Grapple.Report.kind_to_string r.Grapple.Report.kind,
+          r.Grapple.Report.cls,
+          r.Grapple.Report.alloc_at.Jir.Ast.line ))
+      (reports_of "io" results)
   in
-  let s_off, k_off = run false in
-  let s_on, k_on = run true in
-  Alcotest.(check int) "nothing qualifies" 0 s_on.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check (list string)) "reports unchanged" k_off k_on;
-  Alcotest.(check int) "graph identical" s_off.Grapple.Pipeline.n_vertices
-    s_on.Grapple.Pipeline.n_vertices
+  let key (c, k, cls, l) = ((c, k), (cls, l)) in
+  Alcotest.(check (list (pair (pair string string) (pair string int))))
+    "reports" (List.map key expected) (List.map key got)
+
+let triage_cases suite =
+  List.filter_map
+    (fun (s, name, src, expected) ->
+      if s = suite then
+        Some (Alcotest.test_case name `Quick (check_triage_program src expected))
+      else None)
+    triage_programs
 
 let test_report_dedup () =
   let r kind site =
@@ -562,11 +581,5 @@ let suite =
     Alcotest.test_case "report trace present" `Quick test_report_trace_present;
     Alcotest.test_case "null dereference" `Quick test_null_deref;
     Alcotest.test_case "stats populated" `Quick test_stats_populated;
-    Alcotest.test_case "prefilter same reports" `Quick test_prefilter_same_reports;
-    Alcotest.test_case "prefilter leak detected" `Quick
-      test_prefilter_leak_detected;
-    Alcotest.test_case "prefilter path sensitive" `Quick
-      test_prefilter_path_sensitive;
-    Alcotest.test_case "prefilter inert on escaping allocs" `Quick
-      test_prefilter_inert_on_escaping_allocs;
     Alcotest.test_case "report dedup" `Quick test_report_dedup ]
+  @ triage_cases "pipeline"

@@ -1,8 +1,8 @@
-(* Tests for the whole-program Andersen points-to layer (ISSUE 7): subset
-   soundness on hand-built programs, field sensitivity, cycle collapse,
-   determinism, the pipeline's points-to pre-filter (proven to prune
-   strictly beyond escape + summaries), the closure-graph slicer, and the
-   alias on/off differential at several worker counts. *)
+(* Tests for the whole-program Andersen points-to layer: subset soundness
+   on hand-built programs, field sensitivity, cycle collapse, determinism,
+   the pipeline's points-to pre-filter (proven to prune strictly beyond the
+   summary tier), the closure-graph slicer, and the alias-tier and
+   summary-tier on/off differential at several worker counts. *)
 
 let parse src = Jir.Resolve.parse_exn src
 
@@ -172,9 +172,8 @@ let report_sig (rs : Grapple.Report.t list) =
   List.map Grapple.Report.to_string rs |> List.sort compare
 
 (* the acceptance witness: a lock parked into a holder field and never
-   used again.  The store makes it escape (so the escape tier keeps it)
-   and wildcards it in the summary tier; only the points-to tier sees that
-   its whole reachable event alphabet is empty *)
+   used again.  The store wildcards it in the summary tier; only the
+   points-to tier sees that its whole reachable event alphabet is empty *)
 let parked_lock_src = {|
 class H {
   void step(int n) {
@@ -193,11 +192,9 @@ class Main {
 entry Main.main;
 |}
 
-let test_alias_prefilter_prunes_beyond_escape_and_summaries () =
+let test_alias_prefilter_prunes_beyond_summaries () =
   let s_on, r_on = run_pipeline parked_lock_src in
   let s_off, r_off = run_pipeline ~alias_prefilter:false parked_lock_src in
-  Alcotest.(check int) "escape filter cannot catch it" 0
-    s_on.Grapple.Pipeline.n_prefiltered;
   Alcotest.(check int) "summary filter cannot catch it" 0
     s_on.Grapple.Pipeline.n_summary_pruned;
   Alcotest.(check int) "points-to filter prunes the lock" 1
@@ -244,7 +241,7 @@ let test_slicer_reduces_edges () =
 
 (* ---------------- differential on generated subjects ---------------- *)
 
-let run_subject ?(alias_prefilter = true) ~workers
+let run_subject ?(summary_prefilter = true) ?(alias_prefilter = true) ~workers
     (subject : Workload.Generator.subject) =
   let workdir = fresh_workdir () in
   let fsms =
@@ -254,6 +251,7 @@ let run_subject ?(alias_prefilter = true) ~workers
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
+      summary_prefilter;
       alias_prefilter;
       workers }
   in
@@ -268,10 +266,17 @@ let test_differential_generated_subject () =
   List.iter
     (fun workers ->
       let on = run_subject ~workers subject in
-      let off = run_subject ~alias_prefilter:false ~workers subject in
+      let alias_off = run_subject ~alias_prefilter:false ~workers subject in
+      let summary_off =
+        run_subject ~summary_prefilter:false ~workers subject
+      in
       Alcotest.(check (list string))
-        (Printf.sprintf "byte-identical reports at workers=%d" workers)
-        off on)
+        (Printf.sprintf "alias tier off: byte-identical at workers=%d" workers)
+        alias_off on;
+      Alcotest.(check (list string))
+        (Printf.sprintf "summary tier off: byte-identical at workers=%d"
+           workers)
+        summary_off on)
     [ 1; 4 ]
 
 (* ---------------- whole-program lints ---------------- *)
@@ -351,8 +356,8 @@ let suite =
     Alcotest.test_case "cycle collapse" `Quick test_cycle_collapse;
     Alcotest.test_case "render deterministic" `Quick
       test_render_deterministic;
-    Alcotest.test_case "prefilter prunes beyond escape+summaries" `Quick
-      test_alias_prefilter_prunes_beyond_escape_and_summaries;
+    Alcotest.test_case "prefilter prunes beyond summaries" `Quick
+      test_alias_prefilter_prunes_beyond_summaries;
     Alcotest.test_case "prefilter keeps buggy alloc" `Quick
       test_alias_prefilter_keeps_buggy_alloc;
     Alcotest.test_case "slicer reduces edges" `Quick

@@ -195,7 +195,6 @@ let prepare_and_run ?workers ~track_null (cs : Checkers.t list)
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
       track_null;
-      prefilter = true;
       prefilter_properties }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
