@@ -387,7 +387,7 @@ let check_cmd =
         if json then
           (* machine-readable run stats, one line, after the reports *)
           Printf.printf
-            {|{"tool":"stats","warnings":%d,"n_retried":%d,"n_recovered":%d,"n_inconclusive":%d,"n_smt_budget_hits":%d,"n_faults_injected":%d,"n_corrupt_recovered":%d,"cache_enabled":%b,"bytes_read":%d,"bytes_written":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d}|}
+            {|{"tool":"stats","warnings":%d,"n_retried":%d,"n_recovered":%d,"n_inconclusive":%d,"n_smt_budget_hits":%d,"n_faults_injected":%d,"n_corrupt_recovered":%d,"cache_enabled":%b,"bytes_read":%d,"bytes_written":%d,"n_summary_pruned":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d}|}
             !total stats.Grapple.Pipeline.n_retried
             stats.Grapple.Pipeline.n_recovered
             stats.Grapple.Pipeline.n_inconclusive
@@ -397,6 +397,7 @@ let check_cmd =
             stats.Grapple.Pipeline.cache_enabled
             stats.Grapple.Pipeline.bytes_read
             stats.Grapple.Pipeline.bytes_written
+            stats.Grapple.Pipeline.n_summary_pruned
             stats.Grapple.Pipeline.n_alias_pruned
             stats.Grapple.Pipeline.n_edges_presliced
             stats.Grapple.Pipeline.n_edges_sliced

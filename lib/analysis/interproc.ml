@@ -4,11 +4,14 @@
    A client supplies a per-method summary lattice: a bottom element, an
    equality test, and an [analyze] function that computes one method's
    summary given (current) summaries for its callees.  The solver visits
-   SCC components in reverse-topological order (callees before callers) and
-   iterates each component to a fixpoint, so summaries of (mutually)
-   recursive methods converge from bottom.  Because every client lattice is
-   finite-height and [analyze] monotone, the result is the least fixpoint —
-   the most precise sound summary assignment.
+   SCC components in reverse-topological order (callees before callers),
+   runs a non-recursive component once, and iterates a recursive one to a
+   fixpoint, so summaries of (mutually) recursive methods converge from
+   bottom.  Because every client lattice is finite-height and [analyze]
+   monotone, the result is the least fixpoint — the most precise sound
+   summary assignment.  The SCC order and the per-method CFGs form a
+   [plan] that does not depend on the client, so one plan serves every
+   property and lint run over the same program.
 
    The context policy is configurable.  [Ctx_insensitive] merges all call
    sites of a method into one summary, exactly as the paper collapses SCCs
@@ -19,63 +22,126 @@
 
 type policy = Ctx_insensitive | Ctx_1cfa
 
-type 'summary client = {
+(* ---------------- the property-independent plan ---------------- *)
+
+(* Everything the solver needs that no client property changes: the SCC
+   order, one prebuilt CFG per method, and the root set.  A caller that runs
+   several clients over the same program (one per FSM property, or the two
+   interprocedural lints) builds it once and shares it; the plan is never
+   mutated, so clients may share it across domains. *)
+
+type component = {
+  members : (string * Cfg.t) list;  (* method id and its CFG *)
+  recursive : bool;  (* several members, or one that calls itself *)
+}
+
+type plan = {
+  components : component list;  (* reverse-topological: callees first *)
+  shadowed : Cfg.t list;
+      (* earlier definitions of a method id a later one rebinds: never
+         summarized, but still observed once against the final summaries *)
+  roots : (string, unit) Hashtbl.t;  (* entries and methods no one calls *)
+}
+
+let plan (cg : Jir.Callgraph.t) : plan =
+  let program = cg.Jir.Callgraph.program in
+  let cfgs = Hashtbl.create 256 in
+  let shadowed = ref [] in
+  List.iter
+    (fun m ->
+      let id = Jir.Ast.meth_id m in
+      Option.iter
+        (fun g -> shadowed := g :: !shadowed)
+        (Hashtbl.find_opt cfgs id);
+      Hashtbl.replace cfgs id (Cfg.build m))
+    (Jir.Ast.all_methods program);
+  let components =
+    List.map
+      (fun ids ->
+        { members = List.map (fun id -> (id, Hashtbl.find cfgs id)) ids;
+          recursive =
+            (match ids with
+            | [ id ] -> List.mem id (Jir.Callgraph.callees cg id)
+            | _ -> true) })
+      (Jir.Callgraph.sccs_reverse_topological cg)
+  in
+  let roots = Hashtbl.create 64 in
+  List.iter
+    (fun (cls, m) ->
+      Hashtbl.replace roots (Jir.Ast.qualified_name ~cls ~meth:m) ())
+    program.Jir.Ast.entries;
+  List.iter
+    (fun id ->
+      if not (Hashtbl.mem cg.Jir.Callgraph.callers id) then
+        Hashtbl.replace roots id ())
+    cg.Jir.Callgraph.method_ids;
+  { components; shadowed = List.rev !shadowed; roots }
+
+let plan_of_program p = plan (Jir.Callgraph.build p)
+
+let is_root (p : plan) id = Hashtbl.mem p.roots id
+
+(* ---------------- the solver ---------------- *)
+
+(* [cl_analyze] returns the method's summary and a per-method ['detail] (the
+   dataflow result behind the summary).  The solver keeps a method's detail
+   only until its component has converged, then hands it to the caller. *)
+type ('summary, 'detail) client = {
   cl_name : string;
   cl_bottom : Jir.Ast.meth -> 'summary;
   cl_equal : 'summary -> 'summary -> bool;
   cl_analyze :
-    lookup:(string -> 'summary option) ->
-    Jir.Ast.program ->
-    Jir.Ast.meth ->
-    'summary;
+    lookup:(string -> 'summary option) -> Cfg.t -> 'summary * 'detail;
 }
 
 type 'summary result = {
   table : (string, 'summary) Hashtbl.t;  (* method id -> summary *)
-  order : string list;                   (* reverse-topological method order *)
   n_scc_iterations : int;                (* total component fixpoint rounds *)
 }
 
-let lookup (r : 'a result) id = Hashtbl.find_opt r.table id
-
-let solve ?(policy = Ctx_insensitive) (client : 'a client)
-    (program : Jir.Ast.program) : 'a result =
+(* [on_converged ~lookup g detail] sees every method of the program exactly
+   once, with the detail of an analysis run against converged summaries:
+   [lookup] answers for the method's own component and everything it calls.
+   A recursive component's last round changed nothing, so each of its
+   members was analyzed against the final summaries; a non-recursive
+   component reads no summary of its own, so one round is final. *)
+let solve ?(policy = Ctx_insensitive)
+    ?(on_converged = fun ~lookup:_ (_ : Cfg.t) _ -> ()) (plan : plan)
+    (client : ('s, 'd) client) : 's result =
   ignore policy;  (* Ctx_1cfa hook: same table, per-call-site keys *)
-  let cg = Jir.Callgraph.build program in
-  let sccs = Jir.Callgraph.sccs_reverse_topological cg in
-  let methods = Hashtbl.create 64 in
-  List.iter
-    (fun m -> Hashtbl.replace methods (Jir.Ast.meth_id m) m)
-    (Jir.Ast.all_methods program);
-  let meth id = Hashtbl.find methods id in
-  let table = Hashtbl.create 64 in
+  let table = Hashtbl.create 256 in
   let lookup id = Hashtbl.find_opt table id in
   let rounds = ref 0 in
   List.iter
-    (fun component ->
+    (fun comp ->
       List.iter
-        (fun id -> Hashtbl.replace table id (client.cl_bottom (meth id)))
-        component;
-      (* one pass suffices for non-recursive singleton components, because
-         all callees outside the component are already at fixpoint *)
+        (fun (id, (g : Cfg.t)) ->
+          Hashtbl.replace table id (client.cl_bottom g.Cfg.meth))
+        comp.members;
       let rec iterate () =
         incr rounds;
-        let changed =
+        let changed, details =
           List.fold_left
-            (fun changed id ->
-              let s' = client.cl_analyze ~lookup program (meth id) in
-              if client.cl_equal (Hashtbl.find table id) s' then changed
-              else begin
-                Hashtbl.replace table id s';
-                true
-              end)
-            false component
+            (fun (changed, details) (id, g) ->
+              let s', d = client.cl_analyze ~lookup g in
+              let changed =
+                if client.cl_equal (Hashtbl.find table id) s' then changed
+                else begin
+                  Hashtbl.replace table id s';
+                  true
+                end
+              in
+              (changed, (g, d) :: details))
+            (false, []) comp.members
         in
-        if changed then iterate ()
+        if changed && comp.recursive then iterate () else List.rev details
       in
-      iterate ())
-    sccs;
-  { table; order = List.concat sccs; n_scc_iterations = !rounds }
+      List.iter (fun (g, d) -> on_converged ~lookup g d) (iterate ()))
+    plan.components;
+  List.iter
+    (fun g -> on_converged ~lookup g (snd (client.cl_analyze ~lookup g)))
+    plan.shadowed;
+  { table; n_scc_iterations = !rounds }
 
 (* ------------------------------------------------------------------ *)
 (* Interprocedural nullness: null values flowing through returns and   *)
@@ -97,15 +163,13 @@ let join_ret a b =
   | None, x | x, None -> x
   | Some a, Some b -> Some (Nullness.join_value a b)
 
-(* Context threaded into the summary-aware nullness domain through a cell:
-   the Dataflow functor takes a closed module, so per-run parameters (the
-   summary table and the entry-value probe) travel alongside it. *)
+(* Per-run parameters of the summary-aware nullness domain: the summary
+   table and the entry-value probe.  The Dataflow functor takes a closed
+   module, so each solve applies it locally to a domain closed over them. *)
 type null_ctx = {
   nc_lookup : string -> null_summary option;
   nc_entry : (string * Nullness.value) list;  (* parameter seed values *)
 }
-
-let null_ctx : null_ctx option ref = ref None
 
 let call_ret_value nc (c : Jir.Ast.call) =
   let id =
@@ -119,17 +183,19 @@ let call_ret_value nc (c : Jir.Ast.call) =
       Nullness.Nonnull
   | None -> Nullness.Top  (* library call *)
 
-module NullDomain = struct
+module Null_domain (C : sig
+  val nc : null_ctx
+end) =
+struct
   type t = Nullness.Domain.t
 
   let bottom = Nullness.Domain.Unreached
 
   let init (_ : Cfg.t) =
-    let nc = Option.get !null_ctx in
     Nullness.Domain.Env
       (List.fold_left
          (fun env (v, value) -> Nullness.VM.add v value env)
-         Nullness.VM.empty nc.nc_entry)
+         Nullness.VM.empty C.nc.nc_entry)
 
   let equal = Nullness.Domain.equal
   let join = Nullness.Domain.join
@@ -137,7 +203,7 @@ module NullDomain = struct
 
   let value_of_rhs env (r : Jir.Ast.rhs) =
     match r with
-    | Jir.Ast.Rcall c -> call_ret_value (Option.get !null_ctx) c
+    | Jir.Ast.Rcall c -> call_ret_value C.nc c
     | _ -> Nullness.Domain.value_of_rhs env r
 
   let transfer (g : Cfg.t) node state =
@@ -157,17 +223,16 @@ module NullDomain = struct
         | _ -> Nullness.Domain.Env env)
 end
 
-module NullSolver = Dataflow.Forward (NullDomain)
-
-let solve_null_method ~lookup ~entry (g : Cfg.t) =
-  null_ctx := Some { nc_lookup = lookup; nc_entry = entry };
-  let r = NullSolver.solve g in
-  null_ctx := None;
-  r
+let solve_null_method ~lookup ~entry (g : Cfg.t) :
+    Nullness.Domain.t Dataflow.result =
+  let module S = Dataflow.Forward (Null_domain (struct
+    let nc = { nc_lookup = lookup; nc_entry = entry }
+  end)) in
+  S.solve g
 
 (* Dereferences of definitely-null variables, including null arguments
    passed to a parameter the callee definitely dereferences. *)
-let null_hits ~lookup (g : Cfg.t) (res : NullDomain.t Dataflow.result) :
+let null_hits ~lookup (g : Cfg.t) (res : Nullness.Domain.t Dataflow.result) :
     (Jir.Ast.var * int) list =
   let out = ref [] in
   for node = 0 to Cfg.n_nodes g - 1 do
@@ -201,9 +266,9 @@ let null_hits ~lookup (g : Cfg.t) (res : NullDomain.t Dataflow.result) :
   done;
   List.sort_uniq compare !out
 
-let analyze_null_method ~lookup (_ : Jir.Ast.program) (m : Jir.Ast.meth) :
-    null_summary =
-  let g = Cfg.build m in
+let analyze_null_method ~lookup (g : Cfg.t) :
+    null_summary * Nullness.Domain.t Dataflow.result =
+  let m = g.Cfg.meth in
   (* normal run: parameters unknown *)
   let res = solve_null_method ~lookup ~entry:[] g in
   let ns_ret =
@@ -235,9 +300,9 @@ let analyze_null_method ~lookup (_ : Jir.Ast.program) (m : Jir.Ast.meth) :
            |> List.exists (fun (v, _) -> v = p))
          params)
   in
-  { ns_ret; ns_deref_param }
+  ({ ns_ret; ns_deref_param }, res)
 
-let null_client : null_summary client =
+let null_client : (null_summary, Nullness.Domain.t Dataflow.result) client =
   { cl_name = "interproc-null";
     cl_bottom =
       (fun m ->
@@ -251,32 +316,34 @@ let null_client : null_summary client =
 (* The lint client: dereferences that only become definite nulls once
    summaries are applied.  Sites the intraprocedural nullness lint already
    reports are subtracted, so [--interproc] adds strictly whole-program
-   findings instead of re-labelling local ones. *)
-let null_diags ?policy (p : Jir.Ast.program) : Lint.diag list =
-  let r = solve ?policy null_client p in
-  let lk = lookup r in
-  Jir.Ast.all_methods p
-  |> List.concat_map (fun (m : Jir.Ast.meth) ->
-         let g = Cfg.build m in
-         let intra =
-           Nullness.violations g
-           |> List.filter_map (fun (v, node) ->
-                  Option.map
-                    (fun (at : Jir.Ast.pos) -> (v, at.Jir.Ast.line))
-                    (Cfg.pos_of_node g node))
-         in
-         let res = solve_null_method ~lookup:lk ~entry:[] g in
-         null_hits ~lookup:lk g res
-         |> List.filter_map (fun (v, node) ->
-                match Cfg.pos_of_node g node with
-                | Some at when not (List.mem (v, at.Jir.Ast.line) intra) ->
-                    Some
-                      (Lint.diag "interproc-null" (Jir.Ast.meth_id m) at
-                         (Printf.sprintf
-                            "'%s' is null through an interprocedural flow \
-                             when dereferenced"
-                            v))
-                | _ -> None))
+   findings instead of re-labelling local ones.  Each method's normal run is
+   read once its component has converged, so no method is solved twice. *)
+let null_diags ?policy ?plan (p : Jir.Ast.program) : Lint.diag list =
+  let plan = match plan with Some pl -> pl | None -> plan_of_program p in
+  let diags = ref [] in
+  let observe ~lookup (g : Cfg.t) res =
+    let intra =
+      Nullness.violations g
+      |> List.filter_map (fun (v, node) ->
+             Option.map
+               (fun (at : Jir.Ast.pos) -> (v, at.Jir.Ast.line))
+               (Cfg.pos_of_node g node))
+    in
+    null_hits ~lookup g res
+    |> List.iter (fun (v, node) ->
+           match Cfg.pos_of_node g node with
+           | Some at when not (List.mem (v, at.Jir.Ast.line) intra) ->
+               diags :=
+                 Lint.diag "interproc-null" (Jir.Ast.meth_id g.Cfg.meth) at
+                   (Printf.sprintf
+                      "'%s' is null through an interprocedural flow when \
+                       dereferenced"
+                      v)
+                 :: !diags
+           | _ -> ())
+  in
+  ignore (solve ?policy ~on_converged:observe plan null_client);
+  !diags
   |> List.sort_uniq (fun (a : Lint.diag) b ->
          compare
            (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.meth,

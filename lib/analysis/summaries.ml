@@ -153,10 +153,6 @@ type tcx = {
   lookup : string -> summary option;  (* defined methods only *)
 }
 
-let cur : tcx option ref = ref None
-
-let tc () = Option.get !cur
-
 let binding env v = Option.value ~default:unbound (SM.find_opt v env.vars)
 
 let set_obj env o st = { env with objs = OM.add o st env.objs }
@@ -309,13 +305,20 @@ let do_rhs t ~meth env v (r : Jir.Ast.rhs) (s : Jir.Ast.stmt) =
   | Jir.Ast.Rexpr (Jir.Ast.Var y) -> set_var env v (binding env y)
   | Jir.Ast.Rload _ | Jir.Ast.Rnull | Jir.Ast.Rexpr _ -> set_var env v unbound
 
-module Domain = struct
-  type t = Unreached | Env of env
+type state = Unreached | Env of env
 
+(* The Dataflow functor takes a closed module, so each solve applies it
+   locally to a domain closed over that solve's context. *)
+module Domain (C : sig
+  val t : tcx
+end) =
+struct
+  type t = state
+
+  let t = C.t
   let bottom = Unreached
 
   let init (g : Cfg.t) =
-    let t = tc () in
     let vars, objs =
       List.fold_left
         (fun (vars, objs) (i, (ty, p)) ->
@@ -384,7 +387,6 @@ module Domain = struct
     match state with
     | Unreached -> Unreached
     | Env env -> (
-        let t = tc () in
         match g.Cfg.kinds.(node) with
         | Cfg.Stmt ({ kind = Jir.Ast.Decl (_, v, Some r); _ } as s)
         | Cfg.Stmt ({ kind = Jir.Ast.Assign (v, r); _ } as s) ->
@@ -439,7 +441,6 @@ module Domain = struct
         match Cfg.node_call g.Cfg.kinds.(node) with
         | None -> state
         | Some c -> (
-            let t = tc () in
             match t.lookup (callee_id c) with
             | Some summ ->
                 let env =
@@ -479,23 +480,21 @@ module Domain = struct
                   | _ -> env)))
 end
 
-module Solver = Dataflow.Forward (Domain)
-
-let solve_method t (g : Cfg.t) : Domain.t Dataflow.result =
-  cur := Some t;
-  let r = Solver.solve g in
-  cur := None;
-  r
+let solve_method t (g : Cfg.t) : state Dataflow.result =
+  let module S = Dataflow.Forward (Domain (struct
+    let t = t
+  end)) in
+  S.solve g
 
 (* ---------------- summarization ---------------- *)
 
-let summarize t (g : Cfg.t) (res : Domain.t Dataflow.result) : summary =
+let summarize t (g : Cfg.t) (res : state Dataflow.result) : summary =
   let m = g.Cfg.meth in
   let nparams = List.length m.Jir.Ast.params in
   let exit_objs =
     match res.Dataflow.input.(g.Cfg.exit_) with
-    | Domain.Unreached -> OM.empty
-    | Domain.Env env -> env.objs
+    | Unreached -> OM.empty
+    | Env env -> env.objs
   in
   let param_rel i =
     match OM.find_opt (Oparam i) exit_objs with
@@ -508,8 +507,8 @@ let summarize t (g : Cfg.t) (res : Domain.t Dataflow.result) : summary =
   Array.iter
     (fun state ->
       match state with
-      | Domain.Unreached -> ()
-      | Domain.Env env ->
+      | Unreached -> ()
+      | Env env ->
           for i = 0 to nparams - 1 do
             match OM.find_opt (Oparam i) env.objs with
             | Some st ->
@@ -534,7 +533,7 @@ let summarize t (g : Cfg.t) (res : Domain.t Dataflow.result) : summary =
   let ret_other = ref false in
   for node = 0 to Cfg.n_nodes g - 1 do
     match (g.Cfg.kinds.(node), res.Dataflow.input.(node)) with
-    | Cfg.Stmt { kind = Jir.Ast.Return (Some e); _ }, Domain.Env env -> (
+    | Cfg.Stmt { kind = Jir.Ast.Return (Some e); _ }, Env env -> (
         match e with
         | Jir.Ast.Var y ->
             let b = binding env y in
@@ -616,19 +615,24 @@ let all_nonaccepting fsm states =
 
 let nonempty states = Array.exists (fun b -> b) states
 
-let client fsm : summary Interproc.client =
+let client fsm : (summary, state Dataflow.result) Interproc.client =
   { Interproc.cl_name = "typestate-summaries";
     cl_bottom = summary_bottom fsm;
     cl_equal = summary_equal;
     cl_analyze =
-      (fun ~lookup _ m ->
+      (fun ~lookup g ->
         let t = { fsm; lookup } in
-        let g = Cfg.build m in
-        summarize t g (solve_method t g)) }
+        let res = solve_method t g in
+        (summarize t g res, res)) }
 
-let analyze (fsm : Fsm.t) (program : Jir.Ast.program) : result =
-  let r = Interproc.solve (client fsm) program in
-  let lookup = Interproc.lookup r in
+(* [plan] defaults to one built from [program]; callers that analyze
+   several properties of the same program pass a shared one.  Facts are read
+   from each method's converged dataflow result as the solver hands it over,
+   so every method is solved once per property. *)
+let analyze ?plan (fsm : Fsm.t) (program : Jir.Ast.program) : result =
+  let plan =
+    match plan with Some p -> p | None -> Interproc.plan_of_program program
+  in
   let sites = alloc_sites program in
   let facts : (int, alloc_fact) Hashtbl.t = Hashtbl.create 64 in
   let fact sid =
@@ -647,7 +651,6 @@ let analyze (fsm : Fsm.t) (program : Jir.Ast.program) : result =
         Hashtbl.replace facts sid f;
         f
   in
-  let t = { fsm; lookup } in
   let states_of st = Fsm.rel_apply st.o_rel (initial_states fsm) in
   let record_flow st sid =
     let f = fact sid in
@@ -668,72 +671,55 @@ let analyze (fsm : Fsm.t) (program : Jir.Ast.program) : result =
       end
     end
   in
-  let callgraph = Jir.Callgraph.build program in
-  let entries =
-    List.map
-      (fun (cls, m) -> Jir.Ast.qualified_name ~cls ~meth:m)
-      program.Jir.Ast.entries
+  let record_returned (summ : summary) =
+    List.iter
+      (fun (sid, rel, wild) ->
+        record_death ~normal:true
+          { o_rel = rel; o_wild = wild; o_multi = false }
+          sid)
+      summ.s_ret_fresh
   in
-  List.iter
-    (fun (m : Jir.Ast.meth) ->
-      let g = Cfg.build m in
-      let res = solve_method t g in
-      (* every post-effect point: the error state is absorbing, so any
-         abstract visit to it survives to wherever the flow is observed *)
-      Array.iter
-        (fun state ->
-          match state with
-          | Domain.Unreached -> ()
-          | Domain.Env env ->
-              OM.iter
-                (fun o st ->
-                  match o with
-                  | Oalloc sid -> record_flow st sid
-                  | Oparam _ -> ())
-                env.objs)
-        res.Dataflow.output;
-      (* death points: local objects still live at an exit of this frame *)
-      let deaths node ~normal =
-        match res.Dataflow.input.(node) with
-        | Domain.Unreached -> ()
-        | Domain.Env env ->
+  let observe ~lookup (g : Cfg.t) (res : state Dataflow.result) =
+    (* every post-effect point: the error state is absorbing, so any
+       abstract visit to it survives to wherever the flow is observed *)
+    Array.iter
+      (fun state ->
+        match state with
+        | Unreached -> ()
+        | Env env ->
             OM.iter
               (fun o st ->
                 match o with
-                | Oalloc sid -> record_death ~normal st sid
+                | Oalloc sid -> record_flow st sid
                 | Oparam _ -> ())
-              env.objs
-      in
-      deaths g.Cfg.exit_ ~normal:true;
-      deaths g.Cfg.exit_exn ~normal:false;
-      (* objects returned by a callee whose result is dropped die here *)
-      for node = 0 to Cfg.n_nodes g - 1 do
-        match (g.Cfg.kinds.(node), res.Dataflow.input.(node)) with
-        | Cfg.Stmt { kind = Jir.Ast.Expr c; _ }, Domain.Env _ -> (
-            match lookup (callee_id c) with
-            | Some summ ->
-                List.iter
-                  (fun (sid, rel, wild) ->
-                    record_death ~normal:true
-                      { o_rel = rel; o_wild = wild; o_multi = false }
-                      sid)
-                  summ.s_ret_fresh
-            | None -> ())
-        | _ -> ()
-      done;
-      (* objects a root method returns die with the program *)
-      let id = Jir.Ast.meth_id m in
-      if List.mem id entries || Jir.Callgraph.callers callgraph id = [] then
-        match lookup id with
-        | Some summ ->
-            List.iter
-              (fun (sid, rel, wild) ->
-                record_death ~normal:true
-                  { o_rel = rel; o_wild = wild; o_multi = false }
-                  sid)
-              summ.s_ret_fresh
-        | None -> ())
-    (Jir.Ast.all_methods program);
+              env.objs)
+      res.Dataflow.output;
+    (* death points: local objects still live at an exit of this frame *)
+    let deaths node ~normal =
+      match res.Dataflow.input.(node) with
+      | Unreached -> ()
+      | Env env ->
+          OM.iter
+            (fun o st ->
+              match o with
+              | Oalloc sid -> record_death ~normal st sid
+              | Oparam _ -> ())
+            env.objs
+    in
+    deaths g.Cfg.exit_ ~normal:true;
+    deaths g.Cfg.exit_exn ~normal:false;
+    (* objects returned by a callee whose result is dropped die here *)
+    for node = 0 to Cfg.n_nodes g - 1 do
+      match (g.Cfg.kinds.(node), res.Dataflow.input.(node)) with
+      | Cfg.Stmt { kind = Jir.Ast.Expr c; _ }, Env _ ->
+          Option.iter record_returned (lookup (callee_id c))
+      | _ -> ()
+    done;
+    (* objects a root method returns die with the program *)
+    let id = Jir.Ast.meth_id g.Cfg.meth in
+    if Interproc.is_root plan id then Option.iter record_returned (lookup id)
+  in
+  let r = Interproc.solve ~on_converged:observe plan (client fsm) in
   let facts =
     Hashtbl.fold (fun _ f acc -> f :: acc) facts []
     |> List.sort (fun a b -> compare a.f_site.a_sid b.f_site.a_sid)
@@ -747,12 +733,11 @@ let analyze (fsm : Fsm.t) (program : Jir.Ast.program) : result =
    joins over all paths and contexts, so the set of event sequences the
    path-sensitive engine can realize is a subset of the abstract ones —
    pruning these allocations changes no report. *)
+let is_clean f =
+  f.f_tracked && (not f.f_may_error) && (not f.f_exit_bad) && not f.f_wild
+
 let clean_sids (r : result) : int list =
-  r.facts
-  |> List.filter (fun f ->
-         f.f_tracked && (not f.f_may_error) && (not f.f_exit_bad)
-         && not f.f_wild)
-  |> List.map (fun f -> f.f_site.a_sid)
+  r.facts |> List.filter is_clean |> List.map (fun f -> f.f_site.a_sid)
 
 (* ---------------- the interproc-leak lint ---------------- *)
 
@@ -767,11 +752,14 @@ let must_leaks (r : result) : alloc_fact list =
          f.f_died_normal && f.f_normal_all_bad && (not f.f_wild)
          && not f.f_may_error)
 
-let leak_diags (fsms : Fsm.t list) (program : Jir.Ast.program) :
+let leak_diags ?plan (fsms : Fsm.t list) (program : Jir.Ast.program) :
     Lint.diag list =
+  let plan =
+    match plan with Some p -> p | None -> Interproc.plan_of_program program
+  in
   List.concat_map
     (fun fsm ->
-      let r = analyze fsm program in
+      let r = analyze ~plan fsm program in
       List.map
         (fun f ->
           Lint.diag "interproc-leak" f.f_site.a_meth f.f_site.a_at
@@ -786,7 +774,8 @@ let leak_diags (fsms : Fsm.t list) (program : Jir.Ast.program) :
            (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.meth)
            (b.Lint.at.Jir.Ast.file, b.Lint.at.Jir.Ast.line, b.Lint.meth))
 
-(* Combined interprocedural lint surface behind [grapple lint --interproc]. *)
+(* Combined interprocedural lint surface behind [grapple lint --interproc].
+   Both lints, and every property of the leak lint, share one plan. *)
 let interproc_diags ?(on_pass = fun _ _ -> ()) ~(fsms : Fsm.t list)
     (program : Jir.Ast.program) : Lint.diag list =
   let timed name f =
@@ -795,8 +784,11 @@ let interproc_diags ?(on_pass = fun _ _ -> ()) ~(fsms : Fsm.t list)
     on_pass name (Unix.gettimeofday () -. t0);
     r
   in
-  timed "interproc-null" (fun () -> Interproc.null_diags program)
-  @ timed "interproc-leak" (fun () -> leak_diags fsms program)
+  let plan =
+    timed "interproc-plan" (fun () -> Interproc.plan_of_program program)
+  in
+  timed "interproc-null" (fun () -> Interproc.null_diags ~plan program)
+  @ timed "interproc-leak" (fun () -> leak_diags ~plan fsms program)
   |> List.sort (fun (a : Lint.diag) b ->
          compare
            (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.lint,

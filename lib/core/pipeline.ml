@@ -296,22 +296,39 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
      property tracking its class proves it clean — the abstraction
      over-approximates realizable event sequences, so neither closure can
      produce a report for it.  Pruned allocations need no re-check: clean
-     means no report at all. *)
+     means no report at all.  The call graph's SCC order and the per-method
+     CFGs are shared by every property; the properties themselves run on up
+     to [workers] domains.  A sharded run stays in this domain: its
+     supervisor forks later, and a process must not fork once it has
+     spawned a domain. *)
   let summary_pruned =
     timed_span "phase0.summary_prefilter" pre (fun () ->
-        if config.summary_prefilter && config.prefilter_properties <> [] then begin
+        let props = config.prefilter_properties in
+        if config.summary_prefilter && props <> [] then begin
+          let plan = Analysis.Interproc.plan callgraph in
+          let sids =
+            List.map (fun (f : Analysis.Summaries.alloc_fact) ->
+                f.Analysis.Summaries.f_site.Analysis.Summaries.a_sid)
+          in
+          (* only the sids leave the lane: the summary table is dropped *)
+          let per_property fsm =
+            let r = Analysis.Summaries.analyze ~plan fsm program in
+            let clean, dirty =
+              List.partition Analysis.Summaries.is_clean
+                r.Analysis.Summaries.facts
+            in
+            (sids clean, sids dirty)
+          in
+          let lanes =
+            if config.shard_procs > 0 then 1
+            else min config.workers (List.length props)
+          in
           let clean = Hashtbl.create 16 and dirty = Hashtbl.create 16 in
           List.iter
-            (fun fsm ->
-              let r = Analysis.Summaries.analyze fsm program in
-              let ok = Analysis.Summaries.clean_sids r in
-              List.iter
-                (fun (f : Analysis.Summaries.alloc_fact) ->
-                  let sid = f.Analysis.Summaries.f_site.Analysis.Summaries.a_sid in
-                  if List.mem sid ok then Hashtbl.replace clean sid ()
-                  else Hashtbl.replace dirty sid ())
-                r.Analysis.Summaries.facts)
-            config.prefilter_properties;
+            (fun (ok, bad) ->
+              List.iter (fun sid -> Hashtbl.replace clean sid ()) ok;
+              List.iter (fun sid -> Hashtbl.replace dirty sid ()) bad)
+            (Engine.Domains.map ~lanes per_property props);
           Hashtbl.fold
             (fun sid () acc ->
               if Hashtbl.mem dirty sid then acc else sid :: acc)

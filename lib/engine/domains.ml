@@ -55,3 +55,36 @@ let spawn f =
   Domain.spawn f
 
 let n_spawned () = Atomic.get spawned_total
+
+(* [List.map f xs] on up to [lanes] live domains, the calling one included.
+   The extra lanes are whatever [acquire] grants, so an exhausted budget
+   degrades to a plain sequential map.  Lanes take the next element from a
+   shared counter; the result keeps the input order whatever the grant was.
+   Every spawned lane is joined before an exception of any lane is
+   re-raised. *)
+let map ~lanes f xs =
+  let items = Array.of_list xs in
+  let n = Array.length items in
+  let grant = acquire ~max:(min lanes n - 1) in
+  if grant = 0 then List.map f xs
+  else
+    Fun.protect
+      ~finally:(fun () -> release grant)
+      (fun () ->
+        let out = Array.make n None in
+        let next = Atomic.make 0 in
+        let rec lane () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            out.(i) <- Some (f items.(i));
+            lane ()
+          end
+        in
+        let attempt f x = match f x with () -> Ok () | exception e -> Error e in
+        let spawned = List.init grant (fun _ -> spawn lane) in
+        let mine = attempt lane () in
+        let theirs = List.map (attempt Domain.join) spawned in
+        List.iter
+          (function Error e -> raise e | Ok () -> ())
+          (mine :: theirs);
+        Array.to_list (Array.map Option.get out))

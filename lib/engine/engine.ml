@@ -288,40 +288,19 @@ module Make (L : LABEL_LOGIC) = struct
   let solve_batch t (encs : Encoding.t list) : (Encoding.t * bool) list =
     let n = List.length encs in
     let domains = t.config.solver_domains in
+    let solve enc = (enc, solve_one t.decode enc) in
     (* spawning a domain costs ~an OS thread; only fan out when the batch
        amortizes it *)
-    if domains <= 1 || n < 16 * domains then
-      List.map (fun enc -> (enc, solve_one t.decode enc)) encs
-    else begin
-      let grant = Domains.acquire ~max:(domains - 1) in
-      if grant = 0 then
-        List.map (fun enc -> (enc, solve_one t.decode enc)) encs
-      else
-        Fun.protect
-          ~finally:(fun () -> Domains.release grant)
-          (fun () ->
-            let arr = Array.of_list encs in
-            let lanes = grant + 1 in
-            let chunk = (n + lanes - 1) / lanes in
-            let work lo =
-              let hi = min n (lo + chunk) in
-              let out = ref [] in
-              for i = hi - 1 downto lo do
-                out := (arr.(i), solve_one t.decode arr.(i)) :: !out
-              done;
-              !out
-            in
-            let spawned =
-              List.init grant (fun k ->
-                  Domains.spawn (fun () -> work ((k + 1) * chunk)))
-            in
-            let mine = work 0 in
-            (* concatenate chunks in index order: the result list preserves
-               the input order whatever the grant was, so downstream
-               consumers (LRU insertion order in particular) behave
-               identically at every degree of fan-out *)
-            mine @ List.concat_map Domain.join spawned)
-    end
+    if domains <= 1 || n < 16 * domains then List.map solve encs
+    else
+      (* [domains] contiguous chunks, concatenated in index order: the
+         result list preserves the input order whatever the grant was, so
+         downstream consumers (LRU insertion order in particular) behave
+         identically at every degree of fan-out *)
+      let chunk = (n + domains - 1) / domains in
+      List.init domains (fun k -> List.filteri (fun i _ -> i / chunk = k) encs)
+      |> Domains.map ~lanes:domains (List.map solve)
+      |> List.concat
 
   (* [bytes] must be [enc]'s canonical wire bytes (the cache key). *)
   let feasible t ~(bytes : string) (enc : Encoding.t) : bool =

@@ -158,6 +158,70 @@ let test_summary_recursive_fixpoint () =
   Alcotest.(check int) "alloc proved clean" 1
     (List.length (Analysis.Summaries.clean_sids r))
 
+(* A non-recursive component reads no summary of its own, so one round is
+   final: on an acyclic program every method is analyzed exactly once. *)
+let test_summary_one_round_acyclic () =
+  List.iter
+    (fun (name, src) ->
+      let p = parse src in
+      let r = Analysis.Summaries.analyze io p in
+      Alcotest.(check int)
+        (name ^ ": one round per method")
+        (List.length (Jir.Ast.all_methods p))
+        r.Analysis.Summaries.n_scc_iterations)
+    [ ("chain", chain_src);
+      ( "diamond",
+        {|
+class H {
+  FileWriter mk(int n) {
+    FileWriter hw = new FileWriter();
+    return hw;
+  }
+  void use(FileWriter f) { f.write(1); return; }
+}
+class A {
+  void f(int p) { FileWriter w = H.mk(p); H.use(w); w.close(); return; }
+}
+class B { void g(int p) { FileWriter w = H.mk(p); H.use(w); return; } }
+class Main { void main(int p) { A.f(p); B.g(p); return; } }
+entry Main.main;
+|} ) ]
+
+(* Two properties analyzed at once on two domains, sharing one plan, give
+   the summaries, facts and clean sids of the sequential runs. *)
+let test_summaries_two_domains () =
+  let program =
+    (Workload.Generator.mini_hadoop ()).Workload.Generator.program
+  in
+  let plan = Analysis.Interproc.plan_of_program program in
+  let observe fsm =
+    let r = Analysis.Summaries.analyze ~plan fsm program in
+    (Analysis.Summaries.render r, Analysis.Summaries.clean_sids r)
+  in
+  let props =
+    match Checkers.fsms () with
+    | a :: b :: _ -> [ a; b ]
+    | _ -> Alcotest.fail "need two properties"
+  in
+  let sequential = List.map observe props in
+  let parallel =
+    List.map (fun fsm -> Domain.spawn (fun () -> observe fsm)) props
+    |> List.map Domain.join
+  in
+  List.iter2
+    (fun ((fsm : Fsm.t), (r_seq, c_seq)) (r_par, c_par) ->
+      Alcotest.(check string) (fsm.Fsm.name ^ ": summaries and facts") r_seq
+        r_par;
+      Alcotest.(check (list int)) (fsm.Fsm.name ^ ": clean sids") c_seq c_par)
+    (List.combine props sequential)
+    parallel;
+  (* without a shared plan: the same answer *)
+  List.iter2
+    (fun fsm (r_seq, _) ->
+      Alcotest.(check string) "own plan" r_seq
+        (Analysis.Summaries.render (Analysis.Summaries.analyze fsm program)))
+    props sequential
+
 (* ---------------- interprocedural nullness ---------------- *)
 
 let null_ret_src = {|
@@ -409,6 +473,96 @@ let test_workload_interproc_expectations () =
   Alcotest.(check int) "intraprocedural lints find none of them" 0
     ls_intra.Workload.Scoring.ltp
 
+(* [grapple lint --interproc] output, byte for byte, against a golden copy
+   recorded before the summary plan was shared between the lints: the
+   example, the test corpus, generated subjects (printed, then parsed, as
+   `grapple gen` does) and a program that defines two methods twice (the
+   later definition is the one summarized; both bodies are linted).  The
+   lint list mirrors the CLI's. *)
+let duplicates_src =
+  {|class H {
+  FileWriter mk(int n) {
+    FileWriter hw = new FileWriter();
+    return hw;
+  }
+  FileWriter mk(int n) {
+    FileWriter r = null;
+    return r;
+  }
+  void use(FileWriter f) { f.write(1); return; }
+}
+class Main {
+  void main(int p) {
+    FileWriter w = H.mk(p);
+    H.use(w);
+    FileWriter q = new FileWriter();
+    q.write(1);
+    return;
+  }
+  void main(int p) {
+    FileWriter z = new FileWriter();
+    FileWriter w = H.mk(p);
+    w.write(2);
+    return;
+  }
+}
+entry Main.main;
+|}
+
+let lint_interproc_output program =
+  let diags =
+    Analysis.Lint.check_program program
+    @ Analysis.Summaries.interproc_diags ~fsms:(Checkers.fsms ()) program
+    @ Analysis.Pointsto.diags (Analysis.Pointsto.analyze program)
+  in
+  String.concat ""
+    (List.map (fun d -> Analysis.Lint.to_string d ^ "\n") diags)
+  ^ Printf.sprintf "%d lint diagnostic(s)\n" (List.length diags)
+
+(* paths relative to the test directory the glob_files deps populate *)
+let read_file path =
+  In_channel.with_open_bin
+    (Filename.concat (Filename.dirname Sys.executable_name) path)
+    In_channel.input_all
+
+let test_lint_interproc_golden () =
+  let parse_named file text = Jir.Resolve.parse_exn ~file text in
+  let from_file name path =
+    (name, parse_named (name ^ ".jir") (read_file path))
+  in
+  let generated name mk =
+    let text =
+      Jir.Pp.program_to_string (mk ()).Workload.Generator.program
+    in
+    (name, parse_named (name ^ ".jir") text)
+  in
+  let corpus =
+    [ "alias_close"; "alias_lock_order"; "alias_socket"; "alias_taint";
+      "escape_close"; "escape_io"; "escape_lock"; "exc_twr_undeclared";
+      "exception_unhandled"; "summary_io"; "summary_socket"; "summary_taint" ]
+  in
+  let subjects =
+    (from_file "figure3b" "../examples/figure3b.jir"
+     :: List.map (fun n -> from_file n ("corpus/" ^ n ^ ".jir")) corpus)
+    @ [ generated "minizk" Workload.Generator.mini_zookeeper;
+        generated "minihadoop" Workload.Generator.mini_hadoop;
+        generated "minihdfs" Workload.Generator.mini_hdfs;
+        generated "minihbase" Workload.Generator.mini_hbase;
+        generated "mega40" (fun () ->
+            Workload.Generator.mega_100k ~units:40 ());
+        ("duplicates", parse_named "duplicates.jir" duplicates_src) ]
+  in
+  let out =
+    String.concat ""
+      (List.map
+         (fun (name, p) ->
+           Printf.sprintf "== %s\n" name ^ lint_interproc_output p)
+         subjects)
+  in
+  Alcotest.(check string) "byte-identical to the golden output"
+    (read_file "golden/lint_interproc.txt")
+    out
+
 let suite =
   [ Alcotest.test_case "sccs chain order" `Quick test_sccs_chain;
     Alcotest.test_case "sccs mutual recursion" `Quick
@@ -418,6 +572,10 @@ let suite =
     Alcotest.test_case "rel universal leq" `Quick test_rel_universal_and_leq;
     Alcotest.test_case "summary recursive fixpoint" `Quick
       test_summary_recursive_fixpoint;
+    Alcotest.test_case "summary one round when acyclic" `Quick
+      test_summary_one_round_acyclic;
+    Alcotest.test_case "summaries on two domains" `Quick
+      test_summaries_two_domains;
     Alcotest.test_case "interproc null via return" `Quick
       test_interproc_null_via_return;
     Alcotest.test_case "interproc null via param" `Quick
@@ -437,4 +595,6 @@ let suite =
     Alcotest.test_case "summaries deterministic" `Quick
       test_summaries_deterministic;
     Alcotest.test_case "workload interproc expectations" `Quick
-      test_workload_interproc_expectations ]
+      test_workload_interproc_expectations;
+    Alcotest.test_case "lint --interproc golden output" `Quick
+      test_lint_interproc_golden ]

@@ -220,6 +220,115 @@ let test_shard_differential () =
           Suite_parallel.quickstart_src );
       ("gen11", Suite_parallel.generated ~seed:11) ]
 
+(* ---------------- the summary tier's fan-out ---------------- *)
+
+(* The summary tier runs its properties on up to [workers] domains, and
+   stays sequential under shard processes.  Neither may reach the output:
+   the full report text, witnesses and paths included, and the pruned sids
+   must be the same at workers 1, 2 and 4 and at 2 shard processes.  Every
+   run prunes with the same seven properties, so the tier has lanes to fill.
+   On the three large mini profiles the io instance alone takes seconds, so
+   those run the other paper checkers.  Pruned allocations compare as
+   class@line: each run unrolls the program afresh, which renumbers the
+   statements of unrolled loop bodies. *)
+let summary_fanout_run ~workers ~procs ~checkers program =
+  let workdir = fresh_workdir () in
+  let typestate n =
+    match (Checkers.resolve n).Checkers.kind with
+    | `Typestate f -> Some f
+    | `Exception_walk _ -> None
+  in
+  let config =
+    { (Pipeline.default_config ~workdir) with
+      Pipeline.library_throwers = Checkers.Specs.library_throwers;
+      prefilter_properties =
+        List.filter_map typestate
+          [ "io"; "lock"; "socket"; "null"; "lock_order"; "taint"; "close" ];
+      workers;
+      shard_procs = procs;
+      heartbeat_ms = 20. }
+  in
+  let before = Engine.Domains.n_spawned () in
+  let prepared = Pipeline.prepare ~config ~workdir program in
+  let lanes = Engine.Domains.n_spawned () - before + 1 in
+  let results, props, _ =
+    Checkers.run_all_scheduled prepared (List.map Checkers.resolve checkers)
+  in
+  Pipeline.cleanup prepared props;
+  let sites = Analysis.Summaries.alloc_sites prepared.Pipeline.program in
+  let pruned =
+    List.map
+      (fun sid ->
+        let a = Hashtbl.find sites sid in
+        Printf.sprintf "%s@%d" a.Analysis.Summaries.a_cls
+          a.Analysis.Summaries.a_at.Jir.Ast.line)
+      prepared.Pipeline.summary_pruned
+    |> List.sort compare
+  in
+  let text =
+    String.concat "\n"
+      (List.concat_map
+         (fun (name, rs) ->
+           ("== " ^ name)
+           :: List.map (Fmt.str "%a" Grapple.Report.pp_with_trace) rs)
+         results)
+  in
+  (text, pruned, lanes)
+
+let test_summary_fanout_differential () =
+  let paper = [ "io"; "lock"; "exception"; "socket" ] in
+  let light = [ "lock"; "exception"; "socket" ] in
+  let subjects =
+    let open Workload.Generator in
+    [ ("minizk", mini_zookeeper, paper);
+      ("minihadoop", mini_hadoop, light);
+      ("minihdfs", mini_hdfs, light);
+      ("minihbase", mini_hbase, light);
+      ("minilocks", mini_locks, [ "lock"; "lock_order" ]);
+      ("minitaint", mini_taint, [ "taint" ]);
+      ("miniclose", mini_close, [ "close" ]);
+      ("minitwr", mini_twr, [ "exception"; "exc_twr" ]);
+      ("mega4", (fun () -> mega_100k ~units:4 ()), default_mega_families) ]
+  in
+  let programs =
+    List.map
+      (fun (name, mk, checkers) ->
+        (name, (mk ()).Workload.Generator.program, checkers))
+      subjects
+  in
+  let run ~workers ~procs (_, program, checkers) =
+    summary_fanout_run ~workers ~procs ~checkers program
+  in
+  (* the sharded runs first: a process that has ever spawned a domain may
+     not fork *)
+  let sharded = List.map (run ~workers:1 ~procs:2) programs in
+  (* four live domains even on a smaller machine, so workers 4 has four
+     lanes *)
+  Engine.Domains.set_cap 4;
+  Fun.protect ~finally:(fun () ->
+      Engine.Domains.set_cap Engine.Domains.default_cap)
+  @@ fun () ->
+  List.iter2
+    (fun ((name, _, _) as subject) p2 ->
+      let base_text, base_pruned, _ = run ~workers:1 ~procs:0 subject in
+      Alcotest.(check bool) (name ^ ": the tier prunes") true
+        (base_pruned <> []);
+      List.iter
+        (fun (what, expected_lanes, (text, pruned, lanes)) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s: summary lanes" name what)
+            expected_lanes lanes;
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s: summary_pruned" name what)
+            base_pruned pruned;
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: report text" name what)
+            base_text text)
+        [ ("p2", 1, p2);
+          ("w2", 2, run ~workers:2 ~procs:0 subject);
+          ("w4", 4, run ~workers:4 ~procs:0 subject) ])
+    programs sharded
+
 (* Under a 5% fault plan: warnings identical to the in-process run, and the
    full counter set identical across shard process counts (each instance's
    fault stream is derived from its own identity, never from placement). *)
@@ -388,4 +497,8 @@ let suite =
     Alcotest.test_case "degraded mode: inconclusive past the limit" `Quick
       test_shard_degrade_to_inconclusive;
     Alcotest.test_case "frame checksum: corruption is a dead peer" `Quick
-      test_frame_checksum_detects_corruption ]
+      test_frame_checksum_detects_corruption;
+    (* last: it spawns domains, after which this process can no longer
+       fork shard workers *)
+    Alcotest.test_case "differential: summary tier fan-out" `Slow
+      test_summary_fanout_differential ]
