@@ -226,6 +226,10 @@ let to_bytes (t : t) : string =
   write buf t;
   Buffer.contents buf
 
+(* [rev t] is the one-element list [Rev t]: a count of 1, the [Rev] tag,
+   then [t]'s own bytes. *)
+let rev_bytes (s : string) : string = "\001\003" ^ s
+
 let of_bytes (s : string) : t =
   let pos = ref 0 in
   read (Bytes.unsafe_of_string s) pos

@@ -90,3 +90,6 @@ val write : Buffer.t -> t -> unit
 val read : Bytes.t -> int ref -> t
 val to_bytes : t -> string
 val of_bytes : string -> t
+
+val rev_bytes : string -> string
+(** [rev_bytes (to_bytes t) = to_bytes (rev t)], without decoding. *)

@@ -11,9 +11,13 @@
 
    Loaded partitions are flat int-packed edge buffers ([Edgebuf]): 4-word
    records over a [Bigarray], with path encodings interned in a side pool.
+   Membership is one open-addressed int table of edge positions
+   ([Edgebuf.Set]) and adjacency is per-vertex position chains in insertion
+   order ([Edgebuf.Adj]); both are built once per load and appended to on
+   insert, so no index is ever sorted or merged.
    The join runs semi-naively: per superstep, only the edges appended since
-   the previous superstep (the delta) are sort-merge-joined against the
-   partitions' standing sorted indexes, so settled edges are never re-paired.
+   the previous superstep (the delta) are joined against the partitions'
+   chains, so settled edges are never re-paired.
    The same scheme extends across pairs — the checkpoint manifest records
    each partition's deduplicated edge count at every pair's last local
    fixpoint, and reprocessing a pair starts its delta there (valid because
@@ -145,22 +149,19 @@ module Make (L : LABEL_LOGIC) = struct
   }
 
   (* A loaded partition.  [buf] holds the deduplicated edges in file order
-     (load order, then insertions); [present] and [key_counts] key edges by
-     the *canonical pool id* of their encoding ([Edgebuf.canon]), so
-     membership is pure int hashing — candidate bytes pay one string lookup
-     ([Edgebuf.find_bytes]) to reach id space, and everything after that
-     never touches the bytes again.  [idx_src] and [idx_dst] are sorted
-     edge-index arrays over the settled prefix [0, indexed): everything at
-     or past [indexed] is the join delta of the next superstep. *)
+     (load order, then insertions).  [set] keys every edge by the *canonical
+     pool id* of its encoding ([Edgebuf.canon]) and counts the encodings
+     kept per (src, dst, label), so membership is pure int hashing —
+     candidate bytes pay one string lookup to reach id space.  [adj] chains
+     each vertex's out- and in-edges in insertion order.  Positions below
+     [indexed] are settled; everything at or past it is the join delta of
+     the next superstep. *)
   type loaded = {
     meta : pmeta;
     buf : Edgebuf.t;
-    present : (int * int * int * int, unit) Hashtbl.t;
-    key_counts : (int * int * int, int) Hashtbl.t;
-        (* encodings already kept per (src, dst, label) *)
+    set : Edgebuf.Set.t;
+    adj : Edgebuf.Adj.t;
     mutable indexed : int;
-    mutable idx_src : int array;  (* sorted by (src, insertion index) *)
-    mutable idx_dst : int array;  (* sorted by (dst, insertion index) *)
     mutable dirty : bool;  (* contents differ from the on-disk file *)
   }
 
@@ -335,23 +336,20 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* ---------------- seed edges and closure helpers ---------------- *)
 
-  (* The unary (e.g. New => FlowsTo) and mirror (FlowsTo => reversed
-     FlowsToBar) consequences of an edge; they share the edge's path, so no
+  (* [f] on the unary (e.g. New => FlowsTo) and mirror (FlowsTo => reversed
+     FlowsToBar) consequences of an edge, in a fixed order: the unary
+     labels, then the mirrors of the edge's label and of each unary label.
+     They share the edge's path — reversed for mirrors, [~rev:true] — so no
      new constraint check is needed. *)
-  let consequences (e : edge) : edge list =
-    let unary =
-      List.map (fun l -> { e with label = l }) (L.unary e.label)
-    in
-    let mirrors =
-      List.filter_map
-        (fun (d : edge) ->
-          match L.mirror d.label with
-          | Some l ->
-              Some { src = d.dst; dst = d.src; label = l; enc = Encoding.rev d.enc }
-          | None -> None)
-        (e :: unary)
-    in
-    unary @ mirrors
+  let iter_consequences ~src ~dst (label : L.t) f =
+    let unary = L.unary label in
+    List.iter (fun l -> f ~src ~dst ~label:(L.to_int l) ~rev:false) unary;
+    List.iter
+      (fun l ->
+        match L.mirror l with
+        | Some m -> f ~src:dst ~dst:src ~label:(L.to_int m) ~rev:true
+        | None -> ())
+      (label :: unary)
 
   let add_seed t ~src ~dst ~label ~enc =
     if t.ran then invalid_arg "Engine.add_seed: engine already ran";
@@ -375,12 +373,6 @@ module Make (L : LABEL_LOGIC) = struct
     | None ->
         invalid_arg (Printf.sprintf "Engine.owner: vertex %d out of range" v)
 
-  (* Dedup key of a boxed edge: the encoding goes in as canonical wire
-     bytes, so hashing the key walks one flat string instead of the whole
-     encoding structure. *)
-  let edge_key (e : edge) =
-    (e.src, e.dst, L.to_int e.label, Encoding.to_bytes e.enc)
-
   let load t (meta : pmeta) : loaded =
     Obs.Trace.with_span ~cat:"engine"
       ~args:[ ("pid", Obs.Trace.Int meta.pid) ]
@@ -393,54 +385,30 @@ module Make (L : LABEL_LOGIC) = struct
     Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
     let raw = outcome.Storage.buf in
     let n_raw = Edgebuf.n raw in
-    let present = Hashtbl.create 4096 in
-    let key_counts = Hashtbl.create 4096 in
-    let count_key src dst label cid =
-      Hashtbl.replace present (src, dst, label, cid) ();
-      let ckey = (src, dst, label) in
-      Hashtbl.replace key_counts ckey
-        (1 + Option.value ~default:0 (Hashtbl.find_opt key_counts ckey))
-    in
-    (* first pass: membership tables, and whether the file holds exact
-       duplicate records (it shouldn't — every writer deduplicates — but a
-       hand-edited or legacy file must still load to a consistent state).
-       Keys use the canonical pool ids the parse already built, so this
-       pass never re-hashes encoding bytes. *)
-    let dup = ref false in
-    for i = 0 to n_raw - 1 do
-      let cid = Edgebuf.canon raw (Edgebuf.enc_id raw i) in
-      let key = (Edgebuf.src raw i, Edgebuf.dst raw i, Edgebuf.label raw i,
-                 cid)
-      in
-      if Hashtbl.mem present key then dup := true
-      else count_key (Edgebuf.src raw i) (Edgebuf.dst raw i)
-             (Edgebuf.label raw i) cid
-    done;
-    let buf =
-      if not !dup then raw  (* the common case: adopt the file's buffer *)
+    (* the file should hold no exact duplicate records — every writer
+       deduplicates — but a hand-edited or legacy file must still load to a
+       consistent state.  The set keys on the canonical pool ids the parse
+       already built, so this pass never re-hashes encoding bytes. *)
+    let set = Edgebuf.Set.of_buf raw in
+    let dup = Edgebuf.Set.size set < n_raw in
+    let buf, set =
+      if not dup then (raw, set)  (* the common case: adopt the file's buffer *)
       else begin
         let b = Edgebuf.create ~capacity:(max 256 n_raw) () in
-        Hashtbl.reset present;
-        Hashtbl.reset key_counts;
+        let set = Edgebuf.Set.create ~capacity:n_raw b in
         for i = 0 to n_raw - 1 do
           let bytes = Edgebuf.enc_bytes raw (Edgebuf.enc_id raw i) in
           let id = Edgebuf.intern_bytes b bytes in
-          let key = (Edgebuf.src raw i, Edgebuf.dst raw i, Edgebuf.label raw i,
-                     id)
-          in
-          if not (Hashtbl.mem present key) then begin
-            count_key (Edgebuf.src raw i) (Edgebuf.dst raw i)
-              (Edgebuf.label raw i) id;
-            Edgebuf.push b ~src:(Edgebuf.src raw i) ~dst:(Edgebuf.dst raw i)
-              ~label:(Edgebuf.label raw i) ~enc_id:id
-          end
+          ignore
+            (Edgebuf.Set.push set ~src:(Edgebuf.src raw i)
+               ~dst:(Edgebuf.dst raw i) ~label:(Edgebuf.label raw i) ~enc_id:id)
         done;
-        b
+        (b, set)
       end
     in
     let l =
-      { meta; buf; present; key_counts; indexed = 0; idx_src = [||];
-        idx_dst = [||]; dirty = !dup }
+      { meta; buf; set; adj = Edgebuf.Adj.create buf ~lo:meta.lo ~hi:meta.hi;
+        indexed = 0; dirty = dup }
     in
     (match outcome.Storage.corrupt with
     | None -> ()
@@ -466,10 +434,10 @@ module Make (L : LABEL_LOGIC) = struct
   let evict_except t pids =
     t.resident <- List.filter (fun (pid, _) -> List.mem pid pids) t.resident
 
-  (* Load through the residency cache.  A resident partition's buffer and
-     membership tables are in sync with its file (it was flushed, or never
+  (* Load through the residency cache.  A resident partition's buffer, set
+     and chains are in sync with its file (it was flushed, or never
      dirtied, when its pair completed), so a hit skips the read, the block
-     parse, and the membership rebuild.  The guard on the [pmeta] identity
+     parse, and the set and chain rebuild.  The guard on the [pmeta] identity
      drops entries that survived a restore or a metadata rebuild. *)
   let load_resident t (meta : pmeta) : loaded =
     match List.assoc_opt meta.pid t.resident with
@@ -486,98 +454,27 @@ module Make (L : LABEL_LOGIC) = struct
      fact.  [bytes] must be [enc]'s canonical wire bytes. *)
   let insert t (l : loaded) ~src ~dst ~label ~(bytes : string)
       ~(enc : Encoding.t) : bool =
-    let known =
-      match Edgebuf.find_bytes l.buf bytes with
-      | Some cid -> Hashtbl.mem l.present (src, dst, label, cid)
-      | None -> false  (* bytes nowhere in the pool: certainly a new fact *)
-    in
-    if known then false
+    if Edgebuf.Set.mem_bytes l.set ~src ~dst ~label bytes then false
     else begin
-      let ckey = (src, dst, label) in
-      let kept = Option.value ~default:0 (Hashtbl.find_opt l.key_counts ckey) in
       let cap = t.config.max_encodings_per_key in
-      if cap > 0 && kept >= cap then false
+      if cap > 0 && Edgebuf.Set.count l.set ~src ~dst ~label >= cap then false
       else begin
         (* canonical by construction: [intern_bytes] returns the existing
            binding or creates the first slot for these bytes *)
         let id = Edgebuf.intern_bytes ~decoded:enc l.buf bytes in
-        Hashtbl.replace l.present (src, dst, label, id) ();
-        Hashtbl.replace l.key_counts ckey (kept + 1);
         Edgebuf.push l.buf ~src ~dst ~label ~enc_id:id;
+        ignore (Edgebuf.Set.add l.set (Edgebuf.n l.buf - 1));
+        Edgebuf.Adj.sync l.adj;
         l.dirty <- true;
         true
       end
     end
 
-  (* ---------------- sorted edge-index arrays ---------------- *)
-
-  (* Indexes are int arrays of edge positions, sorted by (key, position):
-     the position tiebreak makes every scan order — and therefore every
-     downstream insertion order — deterministic. *)
-
-  let ids_range lo hi = Array.init (hi - lo) (fun k -> lo + k)
-
-  let sort_ids buf keyf (ids : int array) =
-    Array.sort
-      (fun a b ->
-        let c = compare (keyf buf a : int) (keyf buf b) in
-        if c <> 0 then c else compare a b)
-      ids;
-    ids
-
-  let merge_sorted buf keyf (a : int array) (b : int array) =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 then b
-    else if lb = 0 then a
-    else begin
-      let out = Array.make (la + lb) 0 in
-      let i = ref 0 and j = ref 0 in
-      for k = 0 to la + lb - 1 do
-        let take_a =
-          if !i >= la then false
-          else if !j >= lb then true
-          else
-            let c = compare (keyf buf a.(!i) : int) (keyf buf b.(!j)) in
-            c < 0 || (c = 0 && a.(!i) <= b.(!j))
-        in
-        if take_a then begin
-          out.(k) <- a.(!i);
-          incr i
-        end
-        else begin
-          out.(k) <- b.(!j);
-          incr j
-        end
-      done;
-      out
-    end
-
-  (* First position in [idx] whose key is >= [v]. *)
-  let lower_bound buf keyf (idx : int array) v =
-    let lo = ref 0 and hi = ref (Array.length idx) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if (keyf buf idx.(mid) : int) < v then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  (* Apply [f] to every edge position in [idx] whose key equals [v]. *)
-  let scan_eq buf keyf (idx : int array) v f =
-    let n = Array.length idx in
-    let i = ref (lower_bound buf keyf idx v) in
-    while !i < n && (keyf buf idx.(!i) : int) = v do
-      f idx.(!i);
-      incr i
-    done
-
-  (* Build the standing indexes over the first [upto] edges: the cross-pair
-     delta start.  [upto] past the buffer (a corruption-truncated file)
-     clamps to the available prefix. *)
+  (* Start the join's delta at [upto], the cross-pair count recorded at the
+     pair's last fixpoint.  [upto] past the buffer (a corruption-truncated
+     file) clamps to the available prefix. *)
   let prepare (l : loaded) ~upto =
-    let upto = min (max upto 0) (Edgebuf.n l.buf) in
-    l.idx_src <- sort_ids l.buf Edgebuf.src (ids_range 0 upto);
-    l.idx_dst <- sort_ids l.buf Edgebuf.dst (ids_range 0 upto);
-    l.indexed <- upto
+    l.indexed <- min (max upto 0) (Edgebuf.n l.buf)
 
   (* ---------------- flush paths ---------------- *)
 
@@ -656,47 +553,63 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* ---------------- preprocessing ---------------- *)
 
-  (* Partition the seed edges into [target_partitions] intervals of roughly
-     equal edge counts and write them to disk. *)
+  (* Close the seeds under unary/mirror rules, partition them into
+     [target_partitions] intervals of roughly equal edge counts, and write
+     them to disk. *)
   let preprocess t =
-    let seeds =
-      (* close seeds under unary/mirror, deduplicated *)
-      let seen = Hashtbl.create 4096 in
-      let out = ref [] in
-      let add e =
-        let key = edge_key e in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          out := e :: !out
-        end
-      in
-      List.iter
-        (fun e ->
-          add e;
-          List.iter add (consequences e))
-        t.seeds;
-      !out
+    (* the closure goes into one flat buffer in discovery order; the set
+       drops repeats.  Each seed interns at most two encodings: its own and
+       the reversed one its mirrors share. *)
+    let n_seeds = List.length t.seeds in
+    let closed = Edgebuf.create ~capacity:n_seeds () in
+    let set = Edgebuf.Set.create ~capacity:n_seeds closed in
+    let add ~src ~dst ~label id =
+      ignore (Edgebuf.Set.push set ~src ~dst ~label ~enc_id:id)
     in
+    List.iter
+      (fun (e : edge) ->
+        let bytes = Encoding.to_bytes e.enc in
+        let id = Edgebuf.intern_bytes closed bytes in
+        let rev_id = ref (-1) in
+        add ~src:e.src ~dst:e.dst ~label:(L.to_int e.label) id;
+        iter_consequences ~src:e.src ~dst:e.dst e.label
+          (fun ~src ~dst ~label ~rev ->
+            if rev && !rev_id < 0 then
+              rev_id := Edgebuf.intern_bytes closed (Encoding.rev_bytes bytes);
+            add ~src ~dst ~label (if rev then !rev_id else id)))
+      t.seeds;
     t.seeds <- [];
-    t.n_seed_edges <- List.length seeds;
-    let sorted = List.sort (fun a b -> Int.compare a.src b.src) seeds in
-    let n = List.length sorted in
+    let n = Edgebuf.n closed in
+    t.n_seed_edges <- n;
+    (* order by (src ascending, discovery descending): a counting sort over
+       source vertices, filled newest-first *)
+    let order = Array.make n 0 in
+    let () =
+      let start = Array.make (t.max_vertex + 2) 0 in
+      for i = 0 to n - 1 do
+        let s = Edgebuf.src closed i + 1 in
+        start.(s) <- start.(s) + 1
+      done;
+      for v = 1 to t.max_vertex + 1 do
+        start.(v) <- start.(v) + start.(v - 1)
+      done;
+      for i = n - 1 downto 0 do
+        let s = Edgebuf.src closed i in
+        order.(start.(s)) <- i;
+        start.(s) <- start.(s) + 1
+      done
+    in
     let k = max 1 t.config.target_partitions in
     let per = max 1 ((n + k - 1) / k) in
     (* choose interval boundaries at multiples of [per], aligned to source
        vertex changes so an interval never splits a vertex *)
     let bounds = ref [] in
-    let () =
-      let i = ref 0 in
-      let last_src = ref (-1) in
-      List.iter
-        (fun e ->
-          if !i > 0 && !i mod per = 0 && e.src <> !last_src then
-            bounds := e.src :: !bounds;
-          last_src := e.src;
-          incr i)
-        sorted
-    in
+    Array.iteri
+      (fun i e ->
+        let s = Edgebuf.src closed e in
+        if i > 0 && i mod per = 0 && s <> Edgebuf.src closed order.(i - 1) then
+          bounds := s :: !bounds)
+      order;
     let bounds = List.rev !bounds in
     let lo_list = 0 :: bounds in
     let hi_list = bounds @ [ t.max_vertex + 1 ] in
@@ -708,21 +621,21 @@ module Make (L : LABEL_LOGIC) = struct
             approx_edges = 0 })
         lo_list hi_list
     in
-    (* one ordered pass: the metas ascend by [lo] and the seeds by [src], so
-       each partition's slice is the next contiguous run of the sorted list
-       (the last interval's [hi] is [max_vertex + 1], so it takes the rest) *)
-    let rest = ref sorted in
+    (* one ordered pass: the metas ascend by [lo] and [order] by src, so
+       each partition's slice is the next contiguous run of [order] (the
+       last interval's [hi] is [max_vertex + 1], so it takes the rest) *)
+    let next = ref 0 in
     List.iter
       (fun meta ->
         let buf = Edgebuf.create () in
-        let continue_ = ref true in
-        while !continue_ do
-          match !rest with
-          | e :: tl when e.src < meta.hi ->
-              rest := tl;
-              Edgebuf.push_edge buf ~src:e.src ~dst:e.dst
-                ~label:(L.to_int e.label) e.enc
-          | _ -> continue_ := false
+        while !next < n && Edgebuf.src closed order.(!next) < meta.hi do
+          let e = order.(!next) in
+          incr next;
+          Edgebuf.push buf ~src:(Edgebuf.src closed e)
+            ~dst:(Edgebuf.dst closed e) ~label:(Edgebuf.label closed e)
+            ~enc_id:
+              (Edgebuf.intern_bytes buf
+                 (Edgebuf.enc_bytes closed (Edgebuf.enc_id closed e)))
         done;
         let bytes =
           Metrics.time t.metrics `Io (fun () ->
@@ -751,16 +664,20 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* Join the loaded partitions to a local fixpoint, semi-naively: each
      superstep pairs only the edges appended since the last superstep (the
-     delta) against the standing sorted indexes, then merges the delta in.
-     Settled edges are never re-paired against each other — within a pair,
-     and (via [prepare]'s cross-pair counts) across a pair's reprocessings.
+     delta) against the chains, then settles the delta.  Settled edges are
+     never re-paired against each other — within a pair, and (via
+     [prepare]'s cross-pair counts) across a pair's reprocessings.
 
      Coverage: for a delta edge e and a settled or delta partner f, the
      ordered pair (e, f) is generated exactly once —
-       - e on the left: e's [dst] owner is scanned by src, settled index
-         first, then that partition's own delta (so delta x delta included);
-       - e on the right: every loaded partition's settled [idx_dst] is
-         scanned (delta x delta already covered by the left pass).
+       - e on the left: the src chain of e's [dst] in its owner is walked up
+         to that partner's superstep snapshot (settled and delta alike, so
+         delta x delta included);
+       - e on the right: every loaded partition's dst chain of e's [src] is
+         walked up to its [indexed] (delta x delta already covered by the
+         left pass).
+     Chains ascend by position, so each walk visits partners in the same
+     (key, position) order a sorted index would, and no sort is needed.
      Edges inserted *during* a superstep land past the snapshot and join as
      the next superstep's delta.
 
@@ -772,22 +689,19 @@ module Make (L : LABEL_LOGIC) = struct
     in
     (* materialize the unary/mirror consequences of a just-added edge; they
        share its (already decided) path, so no feasibility check *)
-    let dispatch_consequences ~src ~dst ~label ~enc =
-      let e = { src; dst; label = L.of_int label; enc } in
-      List.iter
-        (fun (d : edge) ->
-          let dl = L.to_int d.label in
-          let db = Encoding.to_bytes d.enc in
-          match find_loaded d.src with
+    let dispatch_consequences ~src ~dst ~label ~bytes ~enc =
+      let reversed = lazy (Encoding.rev_bytes bytes, Encoding.rev enc) in
+      iter_consequences ~src ~dst (L.of_int label)
+        (fun ~src ~dst ~label ~rev ->
+          let bytes, enc = if rev then Lazy.force reversed else (bytes, enc) in
+          match find_loaded src with
           | Some l' ->
-              if insert t l' ~src:d.src ~dst:d.dst ~label:dl ~bytes:db
-                   ~enc:d.enc
-              then Metrics.incr m.Metrics.edges_added
+              if insert t l' ~src ~dst ~label ~bytes ~enc then
+                Metrics.incr m.Metrics.edges_added
           | None ->
               route
-                { p_src = d.src; p_dst = d.dst; p_label = dl; p_bytes = db;
-                  p_enc = d.enc })
-        (consequences e)
+                { p_src = src; p_dst = dst; p_label = label; p_bytes = bytes;
+                  p_enc = enc })
     in
     (* a feasible candidate becomes an edge: inserted locally when a loaded
        partition owns its source (counting it once, here and only here),
@@ -798,12 +712,12 @@ module Make (L : LABEL_LOGIC) = struct
       | Some l ->
           if insert t l ~src ~dst ~label ~bytes ~enc then begin
             Metrics.incr m.Metrics.edges_added;
-            dispatch_consequences ~src ~dst ~label ~enc
+            dispatch_consequences ~src ~dst ~label ~bytes ~enc
           end
       | None ->
           route { p_src = src; p_dst = dst; p_label = label; p_bytes = bytes;
                   p_enc = enc };
-          dispatch_consequences ~src ~dst ~label ~enc
+          dispatch_consequences ~src ~dst ~label ~bytes ~enc
     in
     let chunk = ref [] in
     let chunk_n = ref 0 in
@@ -840,18 +754,14 @@ module Make (L : LABEL_LOGIC) = struct
               match find_loaded c.c_src with
               | None -> true
               | Some l ->
-                  (match Edgebuf.find_bytes l.buf c.c_bytes with
-                  | Some cid ->
-                      not
-                        (Hashtbl.mem l.present
-                           (c.c_src, c.c_dst, c.c_label, cid))
-                  | None -> true)
+                  (not
+                     (Edgebuf.Set.mem_bytes l.set ~src:c.c_src ~dst:c.c_dst
+                        ~label:c.c_label c.c_bytes))
                   &&
                   let cap = t.config.max_encodings_per_key in
                   cap = 0
-                  || Option.value ~default:0
-                       (Hashtbl.find_opt l.key_counts
-                          (c.c_src, c.c_dst, c.c_label))
+                  || Edgebuf.Set.count l.set ~src:c.c_src ~dst:c.c_dst
+                       ~label:c.c_label
                      < cap)
             cands
         in
@@ -966,7 +876,7 @@ module Make (L : LABEL_LOGIC) = struct
                 :: !chunk;
               incr chunk_n;
               (* resolving mid-scan is safe: insertions land past every
-                 snapshot bound, and the index arrays are immutable *)
+                 bound a running chain walk stops at *)
               if !chunk_n >= chunk_cap then resolve_chunk ()
             end
         | exception Encoding.Incomposable -> ()
@@ -980,56 +890,31 @@ module Make (L : LABEL_LOGIC) = struct
           if List.for_all (fun (l, n_snap) -> l.indexed >= n_snap) snaps then
             continue_ := false
           else begin
-            (* this superstep's delta: per loaded, the sorted-by-src index
-               of the edges in [indexed, n_snap) *)
-            let deltas =
-              List.map
-                (fun (l, n_snap) ->
-                  (l, n_snap,
-                   sort_ids l.buf Edgebuf.src (ids_range l.indexed n_snap)))
-                snaps
-            in
-            let delta_src_of l2 =
-              let (_, _, d) =
-                List.find (fun (l, _, _) -> l == l2) deltas
-              in
-              d
-            in
             List.iter
-              (fun (l, n_snap, _) ->
+              (fun (l, n_snap) ->
                 for i = l.indexed to n_snap - 1 do
                   (* as the left edge of a pair: the partner owning [dst],
-                     settled index then its in-flight delta *)
+                     up to its snapshot *)
                   let v_dst = Edgebuf.dst l.buf i in
                   (match find_loaded v_dst with
                   | Some l2 ->
-                      scan_eq l2.buf Edgebuf.src l2.idx_src v_dst (fun j ->
-                          try_pair l i l2 j);
-                      scan_eq l2.buf Edgebuf.src (delta_src_of l2) v_dst
-                        (fun j -> try_pair l i l2 j)
+                      Edgebuf.Adj.iter_src l2.adj v_dst
+                        ~upto:(List.assq l2 snaps) (fun j -> try_pair l i l2 j)
                   | None -> ());
                   (* as the right edge of a pair: settled partners only —
                      delta x delta was covered by the left pass *)
                   let v_src = Edgebuf.src l.buf i in
                   List.iter
                     (fun l1 ->
-                      scan_eq l1.buf Edgebuf.dst l1.idx_dst v_src (fun j ->
-                          try_pair l1 j l i))
+                      Edgebuf.Adj.iter_dst l1.adj v_src ~upto:l1.indexed
+                        (fun j -> try_pair l1 j l i))
                     loadeds
                 done)
-              deltas;
+              snaps;
             resolve_chunk ();
-            (* merge the delta into the standing indexes; edges inserted
-               during this superstep sit past [n_snap] and form the next
-               delta *)
-            List.iter
-              (fun (l, n_snap, dsrc) ->
-                l.idx_src <- merge_sorted l.buf Edgebuf.src l.idx_src dsrc;
-                l.idx_dst <-
-                  merge_sorted l.buf Edgebuf.dst l.idx_dst
-                    (sort_ids l.buf Edgebuf.dst (ids_range l.indexed n_snap));
-                l.indexed <- n_snap)
-              deltas
+            (* settle the delta; edges inserted during this superstep sit
+               past [n_snap] and form the next delta *)
+            List.iter (fun (l, n_snap) -> l.indexed <- n_snap) snaps
           end
         done)
 
@@ -1059,27 +944,17 @@ module Make (L : LABEL_LOGIC) = struct
               with_retries t (fun () ->
                   let outcome = Storage.read_flat ~path:meta.path in
                   let buf = outcome.Storage.buf in
-                  let existing = Hashtbl.create (max 64 (2 * Edgebuf.n buf)) in
-                  for i = 0 to Edgebuf.n buf - 1 do
-                    Hashtbl.replace existing
-                      (Edgebuf.src buf i, Edgebuf.dst buf i,
-                       Edgebuf.label buf i,
-                       Edgebuf.canon buf (Edgebuf.enc_id buf i))
-                      ()
-                  done;
+                  let existing = Edgebuf.Set.of_buf buf in
                   let added = ref 0 in
                   List.iter
                     (fun p ->
                       let id =
                         Edgebuf.intern_bytes ~decoded:p.p_enc buf p.p_bytes
                       in
-                      let key = (p.p_src, p.p_dst, p.p_label, id) in
-                      if not (Hashtbl.mem existing key) then begin
-                        Hashtbl.replace existing key ();
-                        Edgebuf.push buf ~src:p.p_src ~dst:p.p_dst
-                          ~label:p.p_label ~enc_id:id;
-                        incr added
-                      end)
+                      if
+                        Edgebuf.Set.push existing ~src:p.p_src ~dst:p.p_dst
+                          ~label:p.p_label ~enc_id:id
+                      then incr added)
                     batch;
                   if !added = 0 then (0, outcome.Storage.bytes, 0)
                   else
@@ -1229,7 +1104,10 @@ module Make (L : LABEL_LOGIC) = struct
     in
     let restored = resume && try_restore t processed in
     if not restored then begin
-      preprocess t;
+      Obs.Trace.with_span ~cat:"engine"
+        ~args:[ ("seeds", Obs.Trace.Int (List.length t.seeds)) ]
+        "engine.preprocess"
+        (fun () -> preprocess t);
       checkpoint t processed
     end;
     let continue = ref true in

@@ -126,6 +126,10 @@ let prop_serialization_roundtrip =
   QCheck.Test.make ~name:"encoding serialization roundtrip" ~count:300
     arb_encoding (fun e -> E.equal e (E.of_bytes (E.to_bytes e)))
 
+let prop_rev_bytes =
+  QCheck.Test.make ~name:"rev_bytes matches rev" ~count:300 arb_encoding
+    (fun e -> E.rev_bytes (E.to_bytes e) = E.to_bytes (E.rev e))
+
 let prop_normalize_idempotent =
   QCheck.Test.make ~name:"normalize idempotent" ~count:300 arb_encoding
     (fun e -> E.equal (E.normalize e) (E.normalize (E.normalize e)))
@@ -151,5 +155,6 @@ let suite =
     Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
     Alcotest.test_case "varint boundaries" `Quick test_varint_boundaries;
     QCheck_alcotest.to_alcotest prop_serialization_roundtrip;
+    QCheck_alcotest.to_alcotest prop_rev_bytes;
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
     QCheck_alcotest.to_alcotest prop_normalize_preserves_pending ]

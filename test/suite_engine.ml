@@ -449,6 +449,267 @@ let prop_partitioning_invariance =
       AEngine.run t2;
       count_label t2 Pg.Flows_to = reference)
 
+(* ---------------- the edge set and the chains ---------------- *)
+
+module Eb = Engine.Edgebuf
+
+(* Keys chosen to share their home slot at every table size up to 1024, so
+   the set runs long probe chains (wrapping the table's end) through several
+   resizes; every answer is checked against a [Hashtbl] reference. *)
+let test_edge_set_collisions () =
+  let b = Eb.create () in
+  let ids =
+    Array.init 4 (fun i ->
+        Eb.intern_bytes b (String.make 1 (Char.chr (65 + i))))
+  in
+  let low = 1023 in
+  (* edge keys colliding in the edge table *)
+  let target = Eb.Set.hash ~src:0 ~dst:0 ~label:0 ~cid:ids.(0) land low in
+  let edges = ref [] and cand = ref 0 in
+  while List.length !edges < 200 do
+    let c = !cand in
+    incr cand;
+    let src = c / 16 and dst = c mod 16 and label = c mod 3 in
+    let cid = ids.(c mod 4) in
+    if Eb.Set.hash ~src ~dst ~label ~cid land low = target then
+      edges := (src, dst, label, cid) :: !edges
+  done;
+  (* (src, dst, label) keys colliding in the count table, each with one to
+     four encodings *)
+  let ktarget = Eb.Set.key_hash ~src:0 ~dst:0 ~label:0 land low in
+  let triples = ref [] and cand = ref 0 in
+  while List.length !triples < 60 do
+    let c = !cand in
+    incr cand;
+    let src = 100_000 + (c / 8) and dst = c mod 8 and label = 7 in
+    if Eb.Set.key_hash ~src ~dst ~label land low = ktarget then
+      triples := (src, dst, label) :: !triples
+  done;
+  let keyed =
+    List.concat
+      (List.mapi
+         (fun k (src, dst, label) ->
+           List.init (1 + (k mod 4)) (fun e -> (src, dst, label, ids.(e))))
+         !triples)
+  in
+  (* interleave both families, and push every edge twice *)
+  let all = List.rev_append !edges keyed in
+  let all = List.concat_map (fun e -> [ e; e ]) all in
+  let st = Eb.Set.create b in
+  let start_cap = Eb.Set.capacity st in
+  let reference = Hashtbl.create 64 and counts = Hashtbl.create 64 in
+  List.iter
+    (fun (src, dst, label, cid) ->
+      let fresh = not (Hashtbl.mem reference (src, dst, label, cid)) in
+      Alcotest.(check bool) "push answers like the reference" fresh
+        (Eb.Set.push st ~src ~dst ~label ~enc_id:cid);
+      if fresh then begin
+        Hashtbl.replace reference (src, dst, label, cid) ();
+        let kept = Hashtbl.find_opt counts (src, dst, label) in
+        Hashtbl.replace counts (src, dst, label)
+          (1 + Option.value ~default:0 kept)
+      end)
+    all;
+  Alcotest.(check bool) "at least three resizes" true
+    (Eb.Set.capacity st >= 8 * start_cap);
+  Alcotest.(check int) "size" (Hashtbl.length reference) (Eb.Set.size st);
+  Alcotest.(check int) "one record per edge" (Hashtbl.length reference)
+    (Eb.n b);
+  List.iter
+    (fun (src, dst, label, cid) ->
+      Alcotest.(check bool) "member" true (Eb.Set.mem st ~src ~dst ~label ~cid);
+      Alcotest.(check bool) "absent encoding" false
+        (Eb.Set.mem st ~src ~dst ~label ~cid:(-1));
+      Alcotest.(check bool) "absent key" false
+        (Eb.Set.mem st ~src ~dst:(dst + 1000) ~label ~cid))
+    all;
+  Hashtbl.iter
+    (fun (src, dst, label) n ->
+      Alcotest.(check int) "encodings per key" n
+        (Eb.Set.count st ~src ~dst ~label))
+    counts;
+  Alcotest.(check int) "unknown key counts zero" 0
+    (Eb.Set.count st ~src:(-5) ~dst:0 ~label:0);
+  (* a set rebuilt from the buffer agrees *)
+  let st' = Eb.Set.of_buf b in
+  Alcotest.(check int) "rebuilt size" (Eb.Set.size st) (Eb.Set.size st');
+  Hashtbl.iter
+    (fun (src, dst, label) n ->
+      Alcotest.(check int) "rebuilt counts" n
+        (Eb.Set.count st' ~src ~dst ~label))
+    counts
+
+(* [pool_append] keeps byte-equal encodings in separate slots; the set keys
+   on the canonical slot, so they are one edge. *)
+let test_edge_set_pool_duplicates () =
+  let b = Eb.create () in
+  let a0 = Eb.pool_append b "enc" in
+  let a1 = Eb.pool_append b "enc" in
+  let other = Eb.pool_append b "other" in
+  Alcotest.(check bool) "separate slots" true (a0 <> a1);
+  Eb.push b ~src:1 ~dst:2 ~label:3 ~enc_id:a0;
+  Eb.push b ~src:1 ~dst:2 ~label:3 ~enc_id:a1;
+  Eb.push b ~src:1 ~dst:2 ~label:3 ~enc_id:other;
+  let st = Eb.Set.of_buf b in
+  Alcotest.(check int) "byte-equal encodings are one edge" 2 (Eb.Set.size st);
+  Alcotest.(check int) "and one encoding of the key" 2
+    (Eb.Set.count st ~src:1 ~dst:2 ~label:3);
+  Alcotest.(check bool) "found by bytes" true
+    (Eb.Set.mem_bytes st ~src:1 ~dst:2 ~label:3 "enc");
+  Alcotest.(check bool) "unknown bytes" false
+    (Eb.Set.mem_bytes st ~src:1 ~dst:2 ~label:3 "none")
+
+(* Chains list positions in insertion order, stop at [upto], and see edges
+   appended after they were built. *)
+let test_adjacency_chains () =
+  let b = Eb.create () in
+  let id = Eb.intern_bytes b "e" in
+  List.iter
+    (fun (src, dst) -> Eb.push b ~src ~dst ~label:0 ~enc_id:id)
+    [ (10, 7); (11, 7); (10, 8); (12, 7); (10, 7) ];
+  let adj = Eb.Adj.create b ~lo:10 ~hi:13 in
+  let walk iter v ~upto =
+    let out = ref [] in
+    iter adj v ~upto (fun p -> out := p :: !out);
+    List.rev !out
+  in
+  Alcotest.(check (list int)) "out of 10" [ 0; 2; 4 ]
+    (walk Eb.Adj.iter_src 10 ~upto:max_int);
+  Alcotest.(check (list int)) "into 7" [ 0; 1; 3; 4 ]
+    (walk Eb.Adj.iter_dst 7 ~upto:max_int);
+  Alcotest.(check (list int)) "into 7 below 3" [ 0; 1 ]
+    (walk Eb.Adj.iter_dst 7 ~upto:3);
+  Alcotest.(check (list int)) "vertex outside the range" []
+    (walk Eb.Adj.iter_src 9 ~upto:max_int);
+  Eb.push b ~src:10 ~dst:7 ~label:1 ~enc_id:id;
+  Eb.Adj.sync adj;
+  Alcotest.(check (list int)) "appended" [ 0; 2; 4; 5 ]
+    (walk Eb.Adj.iter_src 10 ~upto:max_int);
+  Alcotest.(check (list int)) "appended into 7" [ 0; 1; 3; 4; 5 ]
+    (walk Eb.Adj.iter_dst 7 ~upto:max_int)
+
+(* [insert] keeps at most [max_encodings_per_key] encodings per
+   (src, dst, label), and never the same edge twice. *)
+let test_insert_key_counts () =
+  let workdir = fresh_workdir () in
+  let config =
+    { (Engine.default_config ~workdir) with
+      Engine.target_partitions = 1;
+      max_encodings_per_key = 2 }
+  in
+  let t = AEngine.create ~config ~decode:true_decode ~workdir () in
+  let iv last = [ E.Interval { meth = 0; first = 0; last } ] in
+  AEngine.add_seed t ~src:0 ~dst:1 ~label:Pg.New ~enc:(iv 0);
+  AEngine.add_seed t ~src:1 ~dst:2 ~label:Pg.Assign ~enc:(iv 1);
+  AEngine.preprocess t;
+  let l = AEngine.load t (List.hd t.AEngine.parts) in
+  let assign = Pg.to_int Pg.Assign in
+  let insert last =
+    AEngine.insert t l ~src:1 ~dst:2 ~label:assign
+      ~bytes:(E.to_bytes (iv last)) ~enc:(iv last)
+  in
+  let count () = Eb.Set.count l.AEngine.set ~src:1 ~dst:2 ~label:assign in
+  Alcotest.(check int) "the seed's encoding" 1 (count ());
+  Alcotest.(check bool) "known edge" false (insert 1);
+  Alcotest.(check bool) "second encoding" true (insert 5);
+  Alcotest.(check int) "two kept" 2 (count ());
+  Alcotest.(check bool) "over the cap" false (insert 6);
+  Alcotest.(check int) "still two" 2 (count ());
+  Alcotest.(check bool) "dirty after an insert" true l.AEngine.dirty;
+  let last = ref (-1) in
+  Eb.Adj.iter_src l.AEngine.adj 1 ~upto:max_int (fun p -> last := p);
+  Alcotest.(check int) "chained last" (Eb.n l.AEngine.buf - 1) !last
+
+(* A partition file holding a repeated record (no writer makes one, but a
+   hand-edited file may) loads deduplicated and dirty, and the closure over
+   it equals the closure over the clean file. *)
+let test_load_duplicate_records () =
+  let seed t =
+    seed_chain t 6;
+    AEngine.add_seed t ~src:3 ~dst:9 ~label:(Pg.Store 0)
+      ~enc:[ E.Interval { meth = 0; first = 0; last = 1 } ];
+    AEngine.add_seed t ~src:9 ~dst:10 ~label:Pg.Assign
+      ~enc:[ E.Interval { meth = 0; first = 1; last = 2 } ]
+  in
+  let closure t =
+    AEngine.fold_edges t
+      (fun acc e ->
+        (e.AEngine.src, e.AEngine.dst, Pg.to_int e.AEngine.label,
+         E.to_bytes e.AEngine.enc)
+        :: acc)
+      []
+    |> List.sort compare
+  in
+  let clean = mk_engine () in
+  seed clean;
+  AEngine.run clean;
+  let t = mk_engine () in
+  seed t;
+  AEngine.preprocess t;
+  let meta = List.hd t.AEngine.parts in
+  let path = meta.AEngine.path in
+  let raw = (Engine.Storage.read_flat ~path).Engine.Storage.buf in
+  let n = Eb.n raw in
+  Eb.push raw ~src:(Eb.src raw 0) ~dst:(Eb.dst raw 0) ~label:(Eb.label raw 0)
+    ~enc_id:(Eb.enc_id raw 0);
+  ignore (Engine.Storage.write_flat ~path raw);
+  let l = AEngine.load t meta in
+  Alcotest.(check int) "deduplicated" n (Eb.n l.AEngine.buf);
+  Alcotest.(check int) "set size" n (Eb.Set.size l.AEngine.set);
+  Alcotest.(check bool) "marked dirty" true l.AEngine.dirty;
+  AEngine.checkpoint t (Hashtbl.create 1);
+  AEngine.run ~resume:true t;
+  let got = closure t in
+  Alcotest.(check int) "no duplicate left" (List.length got)
+    (List.length (List.sort_uniq compare got));
+  Alcotest.(check bool) "same closure as the clean file" true
+    (got = closure clean)
+
+(* [grapple check --checkers all --paths] output, byte for byte, against
+   copies recorded before the engine's indexes became insertion-ordered
+   chains: which witness survives [max_encodings_per_key] depends on the
+   join's candidate order and the insertion order, so any change to either
+   shows up here.  Runs the CLI on the paper's example and on the printed
+   minizk, minihadoop and minihdfs subjects; minihdfs is the one whose
+   traces move when the join visits partners in another order. *)
+let test_check_paths_golden () =
+  let here = Filename.dirname Sys.executable_name in
+  let exe = Filename.concat here "../bin/grapple_cli.exe" in
+  let dir = fresh_workdir () in
+  let run cmd =
+    let ic =
+      Unix.open_process_in
+        (Printf.sprintf "cd %s && %s 2>/dev/null" (Filename.quote dir) cmd)
+    in
+    let out = In_channel.input_all ic in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "command failed: %s" cmd);
+    out
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path s =
+    Out_channel.with_open_bin path (fun oc -> output_string oc s)
+  in
+  write (Filename.concat dir "figure3b.jir")
+    (read (Filename.concat here "../examples/figure3b.jir"));
+  List.iter
+    (fun name ->
+      ignore
+        (run
+           (Printf.sprintf "%s gen %s -o %s.jir" (Filename.quote exe) name
+              name)))
+    [ "minizk"; "minihadoop"; "minihdfs" ];
+  List.iter
+    (fun name ->
+      Alcotest.(check string)
+        (name ^ " byte-identical to the golden output")
+        (read (Filename.concat here ("golden/check_paths_" ^ name ^ ".txt")))
+        (run
+           (Printf.sprintf "%s check %s.jir --checkers all --paths --workers 2"
+              (Filename.quote exe) name)))
+    [ "figure3b"; "minizk"; "minihadoop"; "minihdfs" ]
+
 let suite =
   [ Alcotest.test_case "lru basic" `Quick test_lru_basic;
     Alcotest.test_case "lru update" `Quick test_lru_update;
@@ -470,5 +731,15 @@ let suite =
     Alcotest.test_case "encodings-per-key cap" `Quick test_encodings_per_key_cap;
     Alcotest.test_case "breakdown sums to 100" `Quick test_metrics_breakdown_sums_to_100;
     Alcotest.test_case "parallel solving" `Quick test_parallel_solving_same_result;
+    Alcotest.test_case "edge set colliding keys" `Quick
+      test_edge_set_collisions;
+    Alcotest.test_case "edge set pool duplicates" `Quick
+      test_edge_set_pool_duplicates;
+    Alcotest.test_case "adjacency chains" `Quick test_adjacency_chains;
+    Alcotest.test_case "insert key counts" `Quick test_insert_key_counts;
+    Alcotest.test_case "load duplicate records" `Quick
+      test_load_duplicate_records;
+    Alcotest.test_case "check --paths golden output" `Quick
+      test_check_paths_golden;
     QCheck_alcotest.to_alcotest prop_engine_matches_reference;
     QCheck_alcotest.to_alcotest prop_partitioning_invariance ]
