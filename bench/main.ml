@@ -1164,12 +1164,20 @@ let baseline () =
              Printf.sprintf "%S:%.2f" component pct)
            s.Pipeline.breakdown)
     in
+    (* partition bytes read per byte written, as perfbench defines it *)
+    let reload_factor =
+      if s.Pipeline.bytes_written = 0 then 0.
+      else
+        float_of_int s.Pipeline.bytes_read
+        /. float_of_int s.Pipeline.bytes_written
+    in
     Printf.sprintf
-      {|    {"subject":%S,"wall_s":%.3f,"preprocess_s":%.3f,"compute_s":%.3f,"edges_added":%d,"edges_per_s":%.1f,"cache_hit_rate":%.4f,"bytes_read":%d,"bytes_written":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"breakdown_pct":{%s}}|}
+      {|    {"subject":%S,"wall_s":%.3f,"preprocess_s":%.3f,"compute_s":%.3f,"edges_added":%d,"edges_per_s":%.1f,"cache_hit_rate":%.4f,"bytes_read":%d,"bytes_written":%d,"reload_factor":%.4f,"pairs":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"breakdown_pct":{%s}}|}
       name r.wall_s s.Pipeline.preprocess_s s.Pipeline.compute_s
       s.Pipeline.edges_added edges_per_s hit_rate s.Pipeline.bytes_read
-      s.Pipeline.bytes_written s.Pipeline.n_alias_pruned
-      s.Pipeline.n_edges_presliced s.Pipeline.n_edges_sliced breakdown
+      s.Pipeline.bytes_written reload_factor s.Pipeline.n_iterations
+      s.Pipeline.n_alias_pruned s.Pipeline.n_edges_presliced
+      s.Pipeline.n_edges_sliced breakdown
   in
   let runs = all_runs () in
   let oc = open_out path in

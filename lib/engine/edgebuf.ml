@@ -78,6 +78,11 @@ let enc t id =
       t.decoded.(id) <- Some e;
       e
 
+(* Drop every cached decode; [enc] re-decodes on demand.  A partition kept
+   in memory between its pairs sheds this cache, which can outweigh the
+   wire bytes it was decoded from. *)
+let forget_decoded t = Array.fill t.decoded 0 t.pool_n None
+
 let grow_pool t =
   let cap = Array.length t.pool in
   let pool' = Array.make (2 * cap) "" in

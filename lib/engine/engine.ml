@@ -23,6 +23,14 @@
    fixpoint, and reprocessing a pair starts its delta there (valid because
    partition files only grow by appending behind that prefix).
 
+   Partitions stay in memory between pairs while their edges fit the
+   budget the partitioning already grants (any two partitions fit:
+   2 x [max_edges_per_partition] edges), least recently used first out.
+   Only the current pair keeps its set and chains; the others are parked
+   as bare buffers, rebuilt into a pair without touching the disk.  The
+   checkpoint after each pair appends one journal record to the manifest
+   instead of rewriting it.
+
    The engine is a functor over the label logic, instantiated once with the
    pointer-analysis grammar (phase 1) and once with the dataflow grammar
    (phase 2). *)
@@ -165,6 +173,12 @@ module Make (L : LABEL_LOGIC) = struct
     mutable dirty : bool;  (* contents differ from the on-disk file *)
   }
 
+  (* A partition held in memory, in sync with its file.  The current pair's
+     partitions are [Live]; every other one is [Parked]: only its flat
+     buffer, without decode cache, set or chains, which [load_resident]
+     rebuilds from the buffer when the partition rejoins a pair. *)
+  type residency = Live of loaded | Parked of Edgebuf.t
+
   (* An edge routed to a partition that is not loaded; flushed in batch by
      [flush_external]. *)
   type pending = {
@@ -172,7 +186,6 @@ module Make (L : LABEL_LOGIC) = struct
     p_dst : int;
     p_label : int;
     p_bytes : string;
-    p_enc : Encoding.t;
   }
 
   type t = {
@@ -183,12 +196,12 @@ module Make (L : LABEL_LOGIC) = struct
         (* feasibility verdicts keyed by canonical encoding wire bytes —
            one flat string hash per probe instead of a deep structural
            hash of the encoding *)
-    mutable resident : (int * loaded) list;
-        (* pid -> loaded partitions known to be in sync with their files;
-           at most the two partitions of the current pair, so the memory
-           budget ("any two partitions fit") is unchanged.  The scheduler
-           holds one partition fixed across its inner loop, so residency
-           turns half of all pair loads into no-ops. *)
+    mutable resident : (pmeta * residency) list;
+        (* partitions in sync with their files, most recently used first.
+           Their edges total at most the memory budget the partitioning
+           already grants — 2 x [max_edges_per_partition] — except that the
+           current pair always stays, however large; [trim] evicts the
+           least recently used beyond that. *)
     mutable parts : pmeta list;  (* sorted by [lo] *)
     mutable next_pid : int;
     mutable seeds : edge list;   (* only before [run] *)
@@ -196,6 +209,13 @@ module Make (L : LABEL_LOGIC) = struct
     mutable max_vertex : int;
     mutable ran : bool;
     mutable run_start : float;  (* wall-budget reference point, set by [run] *)
+    mutable persisted : Manifest.part list;
+        (* the partitions as the manifest on disk records them *)
+    mutable snapshot_bytes : int;
+        (* size of the manifest's snapshot; 0 when the next checkpoint must
+           rewrite it: this run has written none yet (a restored journal
+           may end in a torn record), or an append failed *)
+    mutable journal_bytes : int;  (* records appended behind it *)
   }
 
   let create ?(config : config option) ~decode ~workdir () =
@@ -219,7 +239,10 @@ module Make (L : LABEL_LOGIC) = struct
       n_seed_edges = 0;
       max_vertex = 0;
       ran = false;
-      run_start = 0. }
+      run_start = 0.;
+      persisted = [];
+      snapshot_bytes = 0;
+      journal_bytes = 0 }
 
   (* Sync pull-style counts (the LRU's eviction tally) into the registry on
      read.  [set] makes repeated reads idempotent. *)
@@ -373,22 +396,13 @@ module Make (L : LABEL_LOGIC) = struct
     | None ->
         invalid_arg (Printf.sprintf "Engine.owner: vertex %d out of range" v)
 
-  let load t (meta : pmeta) : loaded =
-    Obs.Trace.with_span ~cat:"engine"
-      ~args:[ ("pid", Obs.Trace.Int meta.pid) ]
-      "engine.load"
-    @@ fun () ->
-    let outcome =
-      Metrics.time t.metrics `Io (fun () ->
-          with_retries t (fun () -> Storage.read_flat ~path:meta.path))
-    in
-    Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
-    let raw = outcome.Storage.buf in
+  (* Index a partition's buffer for joining: its edge set and chains.  The
+     buffer should hold no exact duplicate records — every writer
+     deduplicates — but a hand-edited or legacy file must still load to a
+     consistent state.  The set keys on the canonical pool ids the parse
+     already built, so this pass never re-hashes encoding bytes. *)
+  let activate (meta : pmeta) (raw : Edgebuf.t) : loaded =
     let n_raw = Edgebuf.n raw in
-    (* the file should hold no exact duplicate records — every writer
-       deduplicates — but a hand-edited or legacy file must still load to a
-       consistent state.  The set keys on the canonical pool ids the parse
-       already built, so this pass never re-hashes encoding bytes. *)
     let set = Edgebuf.Set.of_buf raw in
     let dup = Edgebuf.Set.size set < n_raw in
     let buf, set =
@@ -406,10 +420,20 @@ module Make (L : LABEL_LOGIC) = struct
         (b, set)
       end
     in
-    let l =
-      { meta; buf; set; adj = Edgebuf.Adj.create buf ~lo:meta.lo ~hi:meta.hi;
-        indexed = 0; dirty = dup }
+    { meta; buf; set; adj = Edgebuf.Adj.create buf ~lo:meta.lo ~hi:meta.hi;
+      indexed = 0; dirty = dup }
+
+  let load t (meta : pmeta) : loaded =
+    Obs.Trace.with_span ~cat:"engine"
+      ~args:[ ("pid", Obs.Trace.Int meta.pid) ]
+      "engine.load"
+    @@ fun () ->
+    let outcome =
+      Metrics.time t.metrics `Io (fun () ->
+          with_retries t (fun () -> Storage.read_flat ~path:meta.path))
     in
+    Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
+    let l = activate meta outcome.Storage.buf in
     (match outcome.Storage.corrupt with
     | None -> ()
     | Some c ->
@@ -420,32 +444,81 @@ module Make (L : LABEL_LOGIC) = struct
         Logs.warn (fun k ->
             k "partition %s: %a — kept %d-record prefix"
               (Filename.basename meta.path) Storage.pp_corruption c
-              (Edgebuf.n buf));
+              (Edgebuf.n l.buf));
         Metrics.incr t.metrics.Metrics.corrupt_reads;
         Obs.Trace.instant ~cat:"storage"
           ~args:[ ("pid", Obs.Trace.Int meta.pid);
-                  ("kept_records", Obs.Trace.Int (Edgebuf.n buf)) ]
+                  ("kept_records", Obs.Trace.Int (Edgebuf.n l.buf)) ]
           "storage.corrupt_recovered";
         l.dirty <- true);
     l
 
   (* ---------------- residency cache ---------------- *)
 
-  let evict_except t pids =
-    t.resident <- List.filter (fun (pid, _) -> List.mem pid pids) t.resident
+  let buf_of = function Live l -> l.buf | Parked b -> b
 
-  (* Load through the residency cache.  A resident partition's buffer, set
-     and chains are in sync with its file (it was flushed, or never
-     dirtied, when its pair completed), so a hit skips the read, the block
-     parse, and the set and chain rebuild.  The guard on the [pmeta] identity
-     drops entries that survived a restore or a metadata rebuild. *)
+  (* Entries are matched on the [pmeta] identity: a pid's metadata is one
+     record for the partition's whole life, and a split retires it. *)
+  let find_resident t (meta : pmeta) =
+    List.find_map (fun (m, r) -> if m == meta then Some r else None) t.resident
+
+  (* Make [meta] the most recently used resident partition, as [r]. *)
+  let touch t (meta : pmeta) r =
+    t.resident <- (meta, r) :: List.filter (fun (m, _) -> m != meta) t.resident
+
+  let evict t (meta : pmeta) =
+    t.resident <- List.filter (fun (m, _) -> m != meta) t.resident
+
+  (* Park every live partition outside [pids]: keep the buffer, drop the
+     decode cache, set and chains. *)
+  let park_except t pids =
+    t.resident <-
+      List.map
+        (fun ((m, r) as e) ->
+          match r with
+          | Live l when not (List.mem m.pid pids) ->
+              Edgebuf.forget_decoded l.buf;
+              (m, Parked l.buf)
+          | _ -> e)
+        t.resident
+
+  (* Evict least recently used partitions until the resident edges fit
+     2 x [max_edges_per_partition]; the partitions in [keep] (the current
+     pair) always stay. *)
+  let trim t ~keep =
+    let budget = 2 * t.config.max_edges_per_partition in
+    let total =
+      ref
+        (List.fold_left (fun n (_, r) -> n + Edgebuf.n (buf_of r)) 0 t.resident)
+    in
+    t.resident <-
+      List.fold_left
+        (fun kept ((m, r) as e) ->
+          if !total > budget && not (List.mem m.pid keep) then begin
+            total := !total - Edgebuf.n (buf_of r);
+            kept
+          end
+          else e :: kept)
+        [] (List.rev t.resident)
+
+  (* Load through the residency cache.  A resident partition is in sync
+     with its file (it was flushed, or never dirtied, when its pair
+     completed; routed appends write it back), so a hit skips the read and
+     the block parse: a live one is used as is, a parked one gets its set
+     and chains rebuilt from the buffer. *)
   let load_resident t (meta : pmeta) : loaded =
-    match List.assoc_opt meta.pid t.resident with
-    | Some l when l.meta == meta -> l
-    | _ ->
-        let l = load t meta in
-        t.resident <- (meta.pid, l) :: List.remove_assoc meta.pid t.resident;
-        l
+    let l =
+      match find_resident t meta with
+      | Some (Live l) -> l
+      | Some (Parked buf) ->
+          Obs.Trace.with_span ~cat:"engine"
+            ~args:[ ("pid", Obs.Trace.Int meta.pid) ]
+            "engine.unpark"
+            (fun () -> activate meta buf)
+      | None -> load t meta
+    in
+    touch t meta (Live l);
+    l
 
   (* Insert an int-packed edge into a loaded partition; true if it is new.
      An edge is rejected (treated as already known) when its
@@ -700,8 +773,7 @@ module Make (L : LABEL_LOGIC) = struct
                 Metrics.incr m.Metrics.edges_added
           | None ->
               route
-                { p_src = src; p_dst = dst; p_label = label; p_bytes = bytes;
-                  p_enc = enc })
+                { p_src = src; p_dst = dst; p_label = label; p_bytes = bytes })
     in
     (* a feasible candidate becomes an edge: inserted locally when a loaded
        partition owns its source (counting it once, here and only here),
@@ -715,8 +787,7 @@ module Make (L : LABEL_LOGIC) = struct
             dispatch_consequences ~src ~dst ~label ~bytes ~enc
           end
       | None ->
-          route { p_src = src; p_dst = dst; p_label = label; p_bytes = bytes;
-                  p_enc = enc };
+          route { p_src = src; p_dst = dst; p_label = label; p_bytes = bytes };
           dispatch_consequences ~src ~dst ~label ~bytes ~enc
     in
     let chunk = ref [] in
@@ -921,9 +992,13 @@ module Make (L : LABEL_LOGIC) = struct
   (* Append externally-routed edges to the partitions owning them.  Owners
      are resolved here, after any splits performed by [flush], so an edge is
      never appended to a stale partition.  Each pending edge is deduplicated
-     against the target file (and against the batch itself), and only the
-     edges that genuinely land count toward [edges_added] — a routed
-     rediscovery of a known fact adds nothing. *)
+     against the target's edges (and against the batch itself), and only
+     the edges that genuinely land count toward [edges_added] — a routed
+     rediscovery of a known fact adds nothing.  A resident target takes the
+     edges into its buffer, deduplicated through a set built from it (a
+     live one through its own set), and is written back from memory.  Any
+     other target is read from its file, and stays resident afterwards
+     when it is then in sync with the file. *)
   let flush_external t (pending : pending list) =
     let by_owner : (int, pending list ref) Hashtbl.t = Hashtbl.create 16 in
     let order = ref [] in
@@ -939,38 +1014,57 @@ module Make (L : LABEL_LOGIC) = struct
     List.iter
       (fun (meta : pmeta) ->
         let batch = List.rev !(Hashtbl.find by_owner meta.pid) in
-        let n_new, bytes_read, bytes_written =
-          Metrics.time t.metrics `Io (fun () ->
-              with_retries t (fun () ->
-                  let outcome = Storage.read_flat ~path:meta.path in
-                  let buf = outcome.Storage.buf in
-                  let existing = Edgebuf.Set.of_buf buf in
-                  let added = ref 0 in
-                  List.iter
-                    (fun p ->
-                      let id =
-                        Edgebuf.intern_bytes ~decoded:p.p_enc buf p.p_bytes
-                      in
-                      if
-                        Edgebuf.Set.push existing ~src:p.p_src ~dst:p.p_dst
-                          ~label:p.p_label ~enc_id:id
-                      then incr added)
-                    batch;
-                  if !added = 0 then (0, outcome.Storage.bytes, 0)
-                  else
-                    let written = Storage.write_flat ~path:meta.path buf in
-                    (!added, outcome.Storage.bytes, written)))
+        let residency, set =
+          match find_resident t meta with
+          | Some (Live l as r) -> (r, l.set)
+          | Some (Parked buf as r) -> (r, Edgebuf.Set.of_buf buf)
+          | None ->
+              let outcome =
+                Metrics.time t.metrics `Io (fun () ->
+                    with_retries t (fun () ->
+                        Storage.read_flat ~path:meta.path))
+              in
+              Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
+              let buf = outcome.Storage.buf in
+              (* a damaged file is repaired only if this batch rewrites it;
+                 until then its next load must see the damage *)
+              if outcome.Storage.corrupt = None then touch t meta (Parked buf);
+              (Parked buf, Edgebuf.Set.of_buf buf)
         in
-        Metrics.add t.metrics.Metrics.bytes_read bytes_read;
-        Metrics.add t.metrics.Metrics.bytes_written bytes_written;
-        if n_new > 0 then begin
-          Metrics.add t.metrics.Metrics.edges_added n_new;
-          meta.approx_edges <- meta.approx_edges + n_new;
-          (* a batch that landed nothing leaves the file byte-identical:
-             bumping the version would only force a no-op reprocess *)
+        let buf = buf_of residency in
+        let added = ref 0 in
+        List.iter
+          (fun p ->
+            let id = Edgebuf.intern_bytes buf p.p_bytes in
+            if
+              Edgebuf.Set.push set ~src:p.p_src ~dst:p.p_dst ~label:p.p_label
+                ~enc_id:id
+            then incr added)
+          batch;
+        (match residency with
+        | Live l -> Edgebuf.Adj.sync l.adj
+        | Parked _ -> ());
+        (* a batch that landed nothing leaves the file byte-identical:
+           writing it, or bumping the version, would only force a no-op
+           reprocess *)
+        if !added > 0 then begin
+          let written =
+            match
+              Metrics.time t.metrics `Io (fun () ->
+                  with_retries t (fun () ->
+                      Storage.write_flat ~path:meta.path buf))
+            with
+            | n -> n
+            | exception e ->
+                (* the buffer is ahead of its file now *)
+                evict t meta;
+                raise e
+          in
+          Metrics.add t.metrics.Metrics.bytes_written written;
+          Metrics.add t.metrics.Metrics.edges_added !added;
+          meta.approx_edges <- meta.approx_edges + !added;
           meta.version <- meta.version + 1;
-          (* the file just outgrew any resident copy *)
-          t.resident <- List.remove_assoc meta.pid t.resident
+          touch t meta residency
         end)
       (List.rev !order)
 
@@ -985,12 +1079,15 @@ module Make (L : LABEL_LOGIC) = struct
       "engine.pair"
     @@ fun () ->
     Metrics.incr t.metrics.Metrics.pairs_processed;
-    (* keep residency at the memory budget: only this pair stays loaded *)
-    evict_except t [ pa.pid; pb.pid ];
+    (* only the current pair is live; residency beyond it stays within the
+       memory budget *)
+    let keep = [ pa.pid; pb.pid ] in
+    park_except t keep;
     let loadeds =
       if pa.pid = pb.pid then [ load_resident t pa ]
       else [ load_resident t pa; load_resident t pb ]
     in
+    trim t ~keep;
     (match loadeds with
     | [ la ] -> prepare la ~upto:ca
     | [ la; lb ] ->
@@ -1008,11 +1105,9 @@ module Make (L : LABEL_LOGIC) = struct
     in
     List.iter (fun l -> flush t l) loadeds;
     (* a split partition's pid (and file) is gone: drop its resident copy *)
-    t.resident <-
-      List.filter
-        (fun (pid, _) -> List.exists (fun p -> p.pid = pid) t.parts)
-        t.resident;
+    t.resident <- List.filter (fun (m, _) -> List.memq m t.parts) t.resident;
     flush_external t (List.rev !pending);
+    trim t ~keep;
     counts'
 
   (* ---------------- checkpointing ---------------- *)
@@ -1023,11 +1118,19 @@ module Make (L : LABEL_LOGIC) = struct
      the files.  (The converse — files newer than the manifest — is safe:
      the missed pair is simply reprocessed, and reprocessing is idempotent
      because loads and inserts deduplicate; its recorded delta counts are at
-     worst stale-low, which only re-joins a suffix.)  The
-     crash-at-checkpoint fault hook fires after the save: the manifest is
-     durable at that instant, which is exactly the boundary [--resume]
+     worst stale-low, which only re-joins a suffix.)
+
+     [pair] is the pair just processed.  While the partition list is the
+     one the manifest records and its journal is smaller than its
+     snapshot, the checkpoint appends that pair's record: its frontier
+     entry and the partitions that changed.  Otherwise it rewrites the
+     snapshot.
+
+     The crash-at-checkpoint fault hook fires after the write: the manifest
+     is durable at that instant, which is exactly the boundary [--resume]
      guarantees byte-identical results from. *)
-  let checkpoint t (processed : (int * int, int * int * int * int) Hashtbl.t) =
+  let checkpoint ?pair t
+      (processed : (int * int, int * int * int * int) Hashtbl.t) =
     let parts =
       List.map
         (fun p ->
@@ -1035,20 +1138,52 @@ module Make (L : LABEL_LOGIC) = struct
             approx_edges = p.approx_edges; file = Filename.basename p.path })
         t.parts
     in
-    let frontier =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) processed []
-      |> List.sort compare
+    let record =
+      match pair with
+      | Some key
+        when t.journal_bytes < t.snapshot_bytes
+             && List.equal
+                  (fun (p : Manifest.part) (q : Manifest.part) -> p.pid = q.pid)
+                  parts t.persisted ->
+          Option.map
+            (fun v ->
+              { Manifest.pair = (key, v);
+                changed =
+                  List.filter_map
+                    (fun (p, q) -> if p = q then None else Some p)
+                    (List.combine parts t.persisted) })
+            (Hashtbl.find_opt processed key)
+      | _ -> None
     in
-    let m =
-      { Manifest.next_pid = t.next_pid; max_vertex = t.max_vertex;
-        n_seed_edges = t.n_seed_edges; parts; processed = frontier }
+    let workdir = t.config.workdir in
+    let write () =
+      match record with
+      | Some r when t.snapshot_bytes > 0 ->
+          (* until the append lands, the journal may end in a torn record,
+             so a retry rewrites the snapshot *)
+          let snapshot = t.snapshot_bytes in
+          t.snapshot_bytes <- 0;
+          let n = Manifest.append ~workdir r in
+          t.snapshot_bytes <- snapshot;
+          t.journal_bytes <- t.journal_bytes + n
+      | _ ->
+          let frontier =
+            Hashtbl.fold (fun k v acc -> (k, v) :: acc) processed []
+            |> List.sort compare
+          in
+          t.snapshot_bytes <-
+            Manifest.save ~workdir
+              { Manifest.next_pid = t.next_pid; max_vertex = t.max_vertex;
+                n_seed_edges = t.n_seed_edges; parts; processed = frontier };
+          t.journal_bytes <- 0
     in
     Obs.Trace.with_span ~cat:"engine"
-      ~args:[ ("parts", Obs.Trace.Int (List.length parts)) ]
+      ~args:
+        [ ("parts", Obs.Trace.Int (List.length parts));
+          ("snapshot", Obs.Trace.Bool (record = None)) ]
       "engine.checkpoint"
-      (fun () ->
-        Metrics.time t.metrics `Io (fun () ->
-            with_retries t (fun () -> Manifest.save ~workdir:t.config.workdir m)));
+      (fun () -> Metrics.time t.metrics `Io (fun () -> with_retries t write));
+    t.persisted <- parts;
     Faults.on_checkpoint ()
 
   (* Restore partition metadata and the scheduler frontier from the last
@@ -1111,6 +1246,8 @@ module Make (L : LABEL_LOGIC) = struct
       checkpoint t processed
     end;
     let continue = ref true in
+    (* the resident partitions are only of use to this loop *)
+    Fun.protect ~finally:(fun () -> t.resident <- []) @@ fun () ->
     while !continue do
       continue := false;
       (* snapshot: [t.parts] changes under our feet when partitions split *)
@@ -1136,6 +1273,7 @@ module Make (L : LABEL_LOGIC) = struct
                   if needs then begin
                     continue := true;
                     let counts = if swap then (c2, c1) else (c1, c2) in
+                    let parts_before = t.parts in
                     let ca', cb' = process_pair t pa pb ~counts in
                     (* versions may have advanced during processing *)
                     let cur p =
@@ -1148,7 +1286,18 @@ module Make (L : LABEL_LOGIC) = struct
                       else (cur pa, cur pb, ca', cb')
                     in
                     Hashtbl.replace processed key (v1, v2, d1, d2);
-                    checkpoint t processed;
+                    if t.parts != parts_before then begin
+                      (* a split retired a pid for good: [alive] never asks
+                         about its pairs again, so the frontier drops them *)
+                      let live pid =
+                        List.exists (fun q -> q.pid = pid) t.parts
+                      in
+                      Hashtbl.filter_map_inplace
+                        (fun (a, b) v ->
+                          if live a && live b then Some v else None)
+                        processed
+                    end;
+                    checkpoint ~pair:key t processed;
                     check_budgets t
                   end
                 end

@@ -19,9 +19,11 @@
    edge accesses are sequential").
 
    Crash safety:
-   - every write (including appends) goes through write-temp-then-rename, so
-     a crash at any instant leaves either the old file or the new file, never
-     a torn mixture;
+   - every partition write (including appends) goes through
+     write-temp-then-rename, so a crash at any instant leaves either the old
+     file or the new file, never a torn mixture.  [append_string] is the
+     one in-place write: the checkpoint journal uses it, and its reader
+     ignores a torn record;
    - [read_flat] never raises on damaged data: the length prefix bounds every
      block parse, the checksum catches bit damage, edge blocks referencing
      pool ids that never validated are rejected, and the result carries the
@@ -147,6 +149,29 @@ let atomic_write ~path (contents : string) : unit =
 
 let write_string_atomic ~path (contents : string) : unit =
   atomic_write ~path contents
+
+(* Append [contents] to [path] in place, creating it if needed.  Not
+   atomic: a crash or an injected [`Short] write leaves a torn tail, so
+   only a reader that validates each appended record and ignores a torn
+   one (the checkpoint journal) may use it. *)
+let append_string ~path (contents : string) : unit =
+  let append s =
+    let oc =
+      open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
+        path
+    in
+    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+        output_string oc s;
+        flush oc)
+  in
+  match Faults.on_write ~path with
+  | `Ok -> append contents
+  | `Short ->
+      append (String.sub contents 0 (String.length contents / 2));
+      raise
+        (Faults.Injected
+           (Printf.sprintf "injected short append on %s"
+              (Filename.basename path)))
 
 (* Replace the file contents with the buffer's edges; returns bytes
    written. *)

@@ -174,7 +174,21 @@ let test_repartitioning () =
   Alcotest.(check bool) "repartitions counted" true
     (Engine.Metrics.count (AEngine.metrics t).Engine.Metrics.repartitions > 0);
   (* closure is still complete after splits *)
-  Alcotest.(check int) "flowsTo complete" 20 (count_label t Pg.Flows_to)
+  Alcotest.(check int) "flowsTo complete" 20 (count_label t Pg.Flows_to);
+  (* a split retires its pid for good: the checkpointed frontier keeps no
+     pair of a pid that is gone *)
+  match Engine.Manifest.load ~workdir with
+  | None -> Alcotest.fail "no manifest after the run"
+  | Some m ->
+      let live pid =
+        List.exists
+          (fun p -> p.Engine.Manifest.pid = pid)
+          m.Engine.Manifest.parts
+      in
+      Alcotest.(check bool) "frontier names live pids only" true
+        (m.Engine.Manifest.processed <> []
+        && List.for_all (fun ((a, b), _) -> live a && live b)
+             m.Engine.Manifest.processed)
 
 let test_cache_counters () =
   let workdir = fresh_workdir () in
@@ -665,6 +679,166 @@ let test_load_duplicate_records () =
   Alcotest.(check bool) "same closure as the clean file" true
     (got = closure clean)
 
+(* ---------------- residency under the memory budget ---------------- *)
+
+(* Objects spread over the vertex range, each flowing into a shared chain
+   of variables: every partition owns flowsTo facts of its objects and
+   mirrored facts of its variables, so pairs route edges to each other. *)
+let seed_spread t ~vars =
+  let iv k = [ E.Interval { meth = 0; first = k; last = k } ] in
+  for i = 0 to vars - 2 do
+    AEngine.add_seed t ~src:(2 * i) ~dst:((2 * i) + 2) ~label:Pg.Assign
+      ~enc:(iv (i land 3))
+  done;
+  for i = 0 to vars - 1 do
+    if i mod 3 = 0 then
+      AEngine.add_seed t ~src:((2 * i) + 1) ~dst:(2 * i) ~label:Pg.New
+        ~enc:(iv 0)
+  done
+
+(* Run [seed_spread] to fixpoint under [max_edges_per_partition] and
+   return what the run leaves behind: the folded edges, the counters, the
+   partition files' bytes, and how often each partition file was read
+   while the closure ran. *)
+let run_with_budget ~max_edges =
+  let workdir = fresh_workdir () in
+  let config =
+    { (Engine.default_config ~workdir) with
+      Engine.target_partitions = 4;
+      max_edges_per_partition = max_edges }
+  in
+  let t = AEngine.create ~config ~decode:true_decode ~workdir () in
+  seed_spread t ~vars:48;
+  let reads = Hashtbl.create 16 in
+  Engine.Faults.set_observer
+    (Some
+       (fun op path ->
+         if op = Engine.Faults.Op_read && Filename.check_suffix path ".edges"
+         then
+           Hashtbl.replace reads path
+             (1 + Option.value ~default:0 (Hashtbl.find_opt reads path))));
+  Fun.protect
+    ~finally:(fun () -> Engine.Faults.set_observer None)
+    (fun () -> AEngine.run t);
+  let m = AEngine.metrics t in
+  let count c = Engine.Metrics.count c in
+  let files =
+    List.map
+      (fun p ->
+        In_channel.with_open_bin p.AEngine.path In_channel.input_all)
+      t.AEngine.parts
+  in
+  let edges =
+    AEngine.fold_edges t
+      (fun acc e ->
+        (e.AEngine.src, e.AEngine.dst, Pg.to_int e.AEngine.label,
+         E.to_bytes e.AEngine.enc)
+        :: acc)
+      []
+  in
+  let sizes =
+    List.map
+      (fun p ->
+        Eb.n (Engine.Storage.read_flat ~path:p.AEngine.path).Engine.Storage.buf)
+      t.AEngine.parts
+  in
+  let result =
+    ( edges,
+      ( count m.Engine.Metrics.edges_added,
+        count m.Engine.Metrics.bytes_written,
+        count m.Engine.Metrics.pairs_processed,
+        count m.Engine.Metrics.repartitions ),
+      files,
+      count m.Engine.Metrics.bytes_read,
+      Hashtbl.fold (fun _ n acc -> max n acc) reads 0,
+      sizes )
+  in
+  AEngine.cleanup t;
+  result
+
+(* Residency only saves reads.  With a budget that holds every partition,
+   each partition file is read once; with one that holds little more than
+   the current pair (no partition splits: the largest final partition is
+   exactly [max_edges_per_partition]), partitions are evicted and read
+   again.  The closure, its fold order, the counters and the partition
+   files are the same either way. *)
+let test_residency_budget () =
+  let roomy, rcounts, rfiles, rread, rmax_reads, sizes =
+    run_with_budget ~max_edges:100_000
+  in
+  Alcotest.(check int) "four partitions" 4 (List.length sizes);
+  let largest = List.fold_left max 0 sizes in
+  let tight, tcounts, tfiles, tread, tmax_reads, _ =
+    run_with_budget ~max_edges:largest
+  in
+  let _, _, _, repart = tcounts in
+  Alcotest.(check int) "no partition split" 0 repart;
+  Alcotest.(check bool) "any third partition overflows the tight budget" true
+    (List.for_all (fun n -> 3 * n > 2 * largest) sizes);
+  Alcotest.(check bool) "same fold order" true (roomy = tight);
+  Alcotest.(check bool) "same edges added, bytes written, pairs" true
+    (rcounts = tcounts);
+  Alcotest.(check bool) "same partition file bytes" true (rfiles = tfiles);
+  Alcotest.(check int) "roomy: each partition file read once" 1 rmax_reads;
+  Alcotest.(check bool) "tight: partitions read again" true (tmax_reads > 1);
+  Alcotest.(check bool) "roomy budget reads less" true (rread < tread)
+
+(* Routed edges into a parked partition land in its buffer and its file,
+   without reading the file, deduplicated against what it holds; the
+   partition rejoins a pair from memory with the new edges. *)
+let test_flush_external_parked () =
+  let workdir = fresh_workdir () in
+  let config =
+    { (Engine.default_config ~workdir) with Engine.target_partitions = 3 }
+  in
+  let t = AEngine.create ~config ~decode:true_decode ~workdir () in
+  seed_spread t ~vars:12;
+  AEngine.preprocess t;
+  let pa, pc =
+    match t.AEngine.parts with
+    | [ pa; _; pc ] -> (pa, pc)
+    | _ -> Alcotest.fail "expected three partitions"
+  in
+  ignore (AEngine.process_pair t pc pc ~counts:(0, 0));
+  ignore (AEngine.process_pair t pa pa ~counts:(0, 0));
+  let parked () =
+    match
+      List.find_map
+        (fun (m, r) -> if m == pc then Some r else None)
+        t.AEngine.resident
+    with
+    | Some (AEngine.Parked b) -> b
+    | _ -> Alcotest.fail "the partition is not parked"
+  in
+  let before = Eb.n (parked ()) in
+  let version = pc.AEngine.version in
+  let enc = [ E.Interval { meth = 0; first = 9; last = 9 } ] in
+  let edge =
+    { AEngine.p_src = pc.AEngine.lo; p_dst = 1; p_label = Pg.to_int Pg.Assign;
+      p_bytes = E.to_bytes enc }
+  in
+  let reads = ref 0 in
+  Engine.Faults.set_observer
+    (Some (fun op _ -> if op = Engine.Faults.Op_read then incr reads));
+  Fun.protect
+    ~finally:(fun () -> Engine.Faults.set_observer None)
+    (fun () -> AEngine.flush_external t [ edge; edge ]);
+  Alcotest.(check int) "no read" 0 !reads;
+  Alcotest.(check int) "one edge landed" (before + 1) (Eb.n (parked ()));
+  Alcotest.(check int) "version bumped" (version + 1) pc.AEngine.version;
+  let on_disk =
+    (Engine.Storage.read_flat ~path:pc.AEngine.path).Engine.Storage.buf
+  in
+  Alcotest.(check int) "written back" (before + 1) (Eb.n on_disk);
+  AEngine.flush_external t [ edge ];
+  Alcotest.(check int) "a known edge lands nothing" (version + 1)
+    pc.AEngine.version;
+  let l = AEngine.load_resident t pc in
+  Alcotest.(check bool) "rejoins from memory, new edge included" true
+    (Eb.Set.mem_bytes l.AEngine.set ~src:pc.AEngine.lo ~dst:1
+       ~label:(Pg.to_int Pg.Assign) (E.to_bytes enc));
+  AEngine.cleanup t
+
 (* [grapple check --checkers all --paths] output, byte for byte, against
    copies recorded before the engine's indexes became insertion-ordered
    chains: which witness survives [max_encodings_per_key] depends on the
@@ -739,6 +913,9 @@ let suite =
     Alcotest.test_case "insert key counts" `Quick test_insert_key_counts;
     Alcotest.test_case "load duplicate records" `Quick
       test_load_duplicate_records;
+    Alcotest.test_case "residency budget" `Quick test_residency_budget;
+    Alcotest.test_case "flush into a parked partition" `Quick
+      test_flush_external_parked;
     Alcotest.test_case "check --paths golden output" `Quick
       test_check_paths_golden;
     QCheck_alcotest.to_alcotest prop_engine_matches_reference;

@@ -193,7 +193,7 @@ let test_manifest_roundtrip () =
             file = "p0005.edges" } ];
       processed = [ ((3, 3), (2, 2, 17, 17)); ((3, 5), (1, 0, 17, 8)) ] }
   in
-  Manifest.save ~workdir m;
+  ignore (Manifest.save ~workdir m);
   (match Manifest.load ~workdir with
   | Some back -> Alcotest.(check bool) "roundtrip" true (back = m)
   | None -> Alcotest.fail "manifest did not load");
@@ -221,7 +221,7 @@ let test_manifest_truncated_header () =
             file = "p0000.edges" } ];
       processed = [] }
   in
-  Manifest.save ~workdir m;
+  ignore (Manifest.save ~workdir m);
   let path = Manifest.path ~workdir in
   let contents = In_channel.with_open_bin path In_channel.input_all in
   (* keep only a prefix of the header line: no checksum, no body *)
@@ -233,6 +233,87 @@ let test_manifest_truncated_header () =
   Out_channel.with_open_bin path (fun _ -> ());
   Alcotest.(check bool) "empty manifest rejected" true
     (Manifest.load ~workdir = None)
+
+(* A v3 manifest is a snapshot followed by journal records.  Cutting the
+   last record at any byte, or flipping any of its bytes, reads as the
+   state after the record before it; damage to the snapshot reads as no
+   manifest.  [Manifest.load] never raises on either. *)
+let test_manifest_journal_damage () =
+  let workdir = fresh_workdir () in
+  let part pid lo hi version approx_edges =
+    { Manifest.pid; lo; hi; version; approx_edges;
+      file = Printf.sprintf "p%04d.edges" pid }
+  in
+  let m0 =
+    { Manifest.next_pid = 6; max_vertex = 123; n_seed_edges = 45;
+      parts = [ part 3 0 60 0 17; part 5 60 124 0 8 ];
+      processed = [] }
+  in
+  let r1 =
+    { Manifest.pair = ((3, 3), (1, 1, 17, 17)); changed = [ part 3 0 60 1 20 ] }
+  in
+  let r2 =
+    { Manifest.pair = ((3, 5), (2, 1, 20, 8));
+      changed = [ part 3 0 60 2 23; part 5 60 124 1 9 ] }
+  in
+  let m1 =
+    { m0 with
+      parts = [ part 3 0 60 1 20; part 5 60 124 0 8 ];
+      processed = [ ((3, 3), (1, 1, 17, 17)) ] }
+  in
+  let m2 =
+    { m0 with
+      parts = [ part 3 0 60 2 23; part 5 60 124 1 9 ];
+      processed = [ ((3, 3), (1, 1, 17, 17)); ((3, 5), (2, 1, 20, 8)) ] }
+  in
+  let snapshot = Manifest.save ~workdir m0 in
+  let n1 = Manifest.append ~workdir r1 in
+  ignore (Manifest.append ~workdir r2);
+  let load () =
+    match Manifest.load ~workdir with
+    | m -> m
+    | exception e ->
+        Alcotest.failf "Manifest.load raised %s" (Printexc.to_string e)
+  in
+  Alcotest.(check bool) "journal replayed" true (load () = Some m2);
+  let path = Manifest.path ~workdir in
+  let whole = In_channel.with_open_bin path In_channel.input_all in
+  let write s =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+  in
+  let last = snapshot + n1 in
+  for cut = last to String.length whole - 1 do
+    write (String.sub whole 0 cut);
+    if load () <> Some m1 then
+      Alcotest.failf "cut at byte %d: not the previous record's state" cut
+  done;
+  let flipped i mask =
+    let b = Bytes.of_string whole in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask));
+    Bytes.to_string b
+  in
+  List.iter
+    (fun mask ->
+      for i = last to String.length whole - 1 do
+        write (flipped i mask);
+        if load () <> Some m1 then
+          Alcotest.failf "byte %d xor %#x: not the previous record's state" i
+            mask
+      done;
+      for i = 0 to snapshot - 1 do
+        write (flipped i mask);
+        if load () <> None then
+          Alcotest.failf "snapshot byte %d xor %#x: accepted" i mask
+      done)
+    [ 0x01; 0xff ];
+  (* a v2 manifest (the same text under the old version) starts fresh *)
+  write
+    (Manifest.render m0
+    |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           if l = "grapple-manifest 3" then "grapple-manifest 2" else l)
+    |> String.concat "\n");
+  Alcotest.(check bool) "v2 manifest rejected" true (load () = None)
 
 (* ---------------- engine under faults ---------------- *)
 
@@ -306,6 +387,100 @@ let test_engine_resume_equals_fresh () =
   AEngine.run ~resume:true t2;
   Alcotest.(check bool) "resumed closure identical" true (facts t2 = expect);
   AEngine.cleanup t2
+
+(* A short write at any storage write of a run — a partition, a snapshot
+   or a journal append — is retried, and the run's last manifest reads as
+   the clean run's.  A torn append must be followed by a snapshot rewrite:
+   a record appended behind the torn one would never be replayed. *)
+let test_short_write_anywhere_manifest () =
+  let writes = ref 0 in
+  Faults.set_observer
+    (Some (fun op _ -> if op = Faults.Op_write then incr writes));
+  let clean =
+    Fun.protect
+      ~finally:(fun () -> Faults.set_observer None)
+      (fun () ->
+        let t = mk_engine () in
+        seed_chain t 12;
+        AEngine.run t;
+        t)
+  in
+  let workdir t = t.AEngine.config.Engine.workdir in
+  let expect = Manifest.load ~workdir:(workdir clean) in
+  let expect_facts = facts clean in
+  AEngine.cleanup clean;
+  Alcotest.(check bool) "clean manifest loads" true (expect <> None);
+  for n = 1 to !writes do
+    let t =
+      with_plan (Printf.sprintf "short-write=%d" n) (fun () ->
+          let t = mk_engine () in
+          seed_chain t 12;
+          AEngine.run t;
+          Alcotest.(check int) "the short write was retried" 1
+            (Engine.Metrics.count
+               (AEngine.metrics t).Engine.Metrics.retries);
+          t)
+    in
+    if Manifest.load ~workdir:(workdir t) <> expect then
+      Alcotest.failf "short write #%d: final manifest differs" n;
+    Alcotest.(check bool) "closure identical" true (facts t = expect_facts);
+    AEngine.cleanup t
+  done
+
+(* A run killed in the middle of a journal append leaves a torn record.
+   The resumed run must not append behind it — those records would never
+   be replayed — so the manifest it finishes with records its fixpoint:
+   resuming once more processes no pair. *)
+let test_resume_behind_torn_journal () =
+  let clean = mk_engine () in
+  seed_chain clean 12;
+  AEngine.run clean;
+  let expect_facts = facts clean in
+  AEngine.cleanup clean;
+  let rec attempt n =
+    let workdir = fresh_workdir () in
+    let config =
+      { (Engine.default_config ~workdir) with Engine.target_partitions = 2 }
+    in
+    let t = AEngine.create ~config ~decode:true_decode ~workdir () in
+    seed_chain t 12;
+    (match
+       with_plan (Printf.sprintf "crash-checkpoint=%d" n) (fun () ->
+           AEngine.run t)
+     with
+    | () -> Alcotest.fail "no checkpoint ended in a journal record"
+    | exception Faults.Crash _ -> ());
+    let path = Manifest.path ~workdir in
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    (* the last block is a journal record when an earlier block exists *)
+    let ends =
+      List.filter
+        (fun l -> String.length l > 4 && String.sub l 0 4 = "end ")
+        (String.split_on_char '\n' text)
+    in
+    if List.length ends < 2 then attempt (n + 1)
+    else begin
+      (* drop the record's last line: a torn tail *)
+      let cut = String.rindex_from text (String.length text - 2) '\n' + 1 in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.sub text 0 cut));
+      let t2 = AEngine.create ~config ~decode:true_decode ~workdir () in
+      seed_chain t2 12;
+      AEngine.run ~resume:true t2;
+      Alcotest.(check bool) "resumed closure identical" true
+        (facts t2 = expect_facts);
+      let t3 = AEngine.create ~config ~decode:true_decode ~workdir () in
+      seed_chain t3 12;
+      AEngine.run ~resume:true t3;
+      Alcotest.(check int) "the finished run's manifest is its fixpoint" 0
+        (Engine.Metrics.count
+           (AEngine.metrics t3).Engine.Metrics.pairs_processed);
+      Alcotest.(check bool) "closure still identical" true
+        (facts t3 = expect_facts);
+      AEngine.cleanup t3
+    end
+  in
+  attempt 2
 
 (* A checksum-valid manifest whose partition file vanished (e.g. a partial
    workdir wipe) must not be restored: resume falls back to a fresh run and
@@ -502,6 +677,69 @@ let test_pipeline_resume_byte_identical () =
   Alcotest.(check string) "report byte-identical" expect (rendered pr);
   Grapple.Pipeline.cleanup p [ pr ]
 
+(* Killed at the checkpoint right after a snapshot rewrite (a compaction:
+   the manifest holds a snapshot and no journal), the resumed run still
+   prints the uninterrupted run's reports byte for byte.  The crash point
+   is found by crashing at each checkpoint in turn and looking at the
+   manifest that checkpoint wrote. *)
+let test_resume_after_compaction () =
+  let p0, pr0, _ = check_leak () in
+  let expect = rendered pr0 in
+  Grapple.Pipeline.cleanup p0 [ pr0 ];
+  let manifests = ref [] in
+  let crash_at n =
+    let workdir = fresh_workdir () in
+    let last = ref "" in
+    Faults.set_observer
+      (Some
+         (fun op path ->
+           if op = Faults.Op_write && Filename.basename path = "manifest" then
+             last := path));
+    let crashed =
+      Fun.protect
+        ~finally:(fun () -> Faults.set_observer None)
+        (fun () ->
+          match
+            with_plan (Printf.sprintf "crash-checkpoint=%d" n) (fun () ->
+                check_leak ~workdir ())
+          with
+          | p, pr, _ ->
+              Grapple.Pipeline.cleanup p [ pr ];
+              false
+          | exception Faults.Crash _ -> true)
+    in
+    if not crashed then Alcotest.fail "no checkpoint right after a compaction";
+    let text = In_channel.with_open_bin !last In_channel.input_all in
+    let blocks =
+      List.length
+        (List.filter
+           (fun l -> String.length l > 4 && String.sub l 0 4 = "end ")
+           (String.split_on_char '\n' text))
+    in
+    (* which engine's manifest: the path below the workdir *)
+    let engine = Filename.basename (Filename.dirname !last) in
+    let compaction =
+      blocks = 1 && List.exists (fun (e, b) -> e = engine && b > 1) !manifests
+    in
+    manifests := (engine, blocks) :: !manifests;
+    (workdir, compaction)
+  in
+  (* a lone snapshot is a compaction only when the same engine's manifest
+     held journal records at an earlier checkpoint: its first snapshot,
+     after preprocessing, is not one *)
+  let rec find n =
+    let workdir, compaction = crash_at n in
+    if compaction then workdir else find (n + 1)
+  in
+  let workdir = find 2 in
+  let p, pr, _ =
+    check_leak ~workdir
+      ~config_f:(fun c -> { c with Grapple.Pipeline.resume = true })
+      ()
+  in
+  Alcotest.(check string) "report byte-identical" expect (rendered pr);
+  Grapple.Pipeline.cleanup p [ pr ]
+
 (* ---------------- SMT round budget ---------------- *)
 
 let test_smt_budget_sound () =
@@ -543,6 +781,14 @@ let suite =
     Alcotest.test_case "manifest roundtrip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "manifest truncated header" `Quick
       test_manifest_truncated_header;
+    Alcotest.test_case "manifest journal damage" `Quick
+      test_manifest_journal_damage;
+    Alcotest.test_case "resume after compaction" `Quick
+      test_resume_after_compaction;
+    Alcotest.test_case "short write anywhere, manifest exact" `Quick
+      test_short_write_anywhere_manifest;
+    Alcotest.test_case "resume behind a torn journal" `Quick
+      test_resume_behind_torn_journal;
     Alcotest.test_case "resume with missing partition runs fresh" `Quick
       test_resume_missing_partition_runs_fresh;
     Alcotest.test_case "edge budget exact boundary" `Quick
