@@ -46,7 +46,9 @@ let run_subject (subject : Generator.subject) : run =
   in
   let t0 = Unix.gettimeofday () in
   let prepared = Pipeline.prepare ~config ~workdir subject.Generator.program in
-  let results, props = Checkers.run_all prepared (Checkers.all ()) in
+  let results, props, _ =
+    Checkers.run_all_scheduled prepared (Checkers.all ())
+  in
   let wall_s = Unix.gettimeofday () -. t0 in
   let stats = Pipeline.stats prepared props in
   { subject; results; stats; wall_s }
@@ -154,7 +156,9 @@ let table2 () =
       track_null = true }
   in
   let prepared = Pipeline.prepare ~config ~workdir subject.Generator.program in
-  let results, _ = Checkers.run_all prepared [ Checkers.null () ] in
+  let results, _, _ =
+    Checkers.run_all_scheduled prepared [ Checkers.null () ]
+  in
   let reports = Option.value ~default:[] (List.assoc_opt "null" results) in
   let sc =
     Scoring.score ~checker:"null" ~expected:subject.Generator.expected ~reports
@@ -238,7 +242,9 @@ let table4 ~fast () =
         let prepared =
           Pipeline.prepare ~config ~workdir subject.Generator.program
         in
-        let _, props = Checkers.run_all prepared (Checkers.all ()) in
+        let _, props, _ =
+          Checkers.run_all_scheduled prepared (Checkers.all ())
+        in
         Pipeline.stats prepared props
       in
       let with_cache = go ~cache_enabled:true "wc" in
@@ -452,7 +458,9 @@ let summaries () =
         let prepared =
           Pipeline.prepare ~config ~workdir subject.Generator.program
         in
-        let results, props = Checkers.run_all prepared (Checkers.all ()) in
+        let results, props, _ =
+          Checkers.run_all_scheduled prepared (Checkers.all ())
+        in
         let dt = Unix.gettimeofday () -. t0 in
         (Pipeline.stats prepared props, results, dt)
       in
@@ -568,7 +576,9 @@ let alias () =
         let prepared =
           Pipeline.prepare ~config ~workdir subject.Generator.program
         in
-        let results, props = Checkers.run_all prepared (Checkers.all ()) in
+        let results, props, _ =
+          Checkers.run_all_scheduled prepared (Checkers.all ())
+        in
         let dt = Unix.gettimeofday () -. t0 in
         (Pipeline.stats prepared props, results, dt)
       in
@@ -649,7 +659,9 @@ let ablation () =
       let prepared =
         Pipeline.prepare ~config ~workdir subject.Generator.program
       in
-      let results, props = Checkers.run_all prepared (Checkers.all ()) in
+      let results, props, _ =
+        Checkers.run_all_scheduled prepared (Checkers.all ())
+      in
       let dt = Unix.gettimeofday () -. t0 in
       let stats = Pipeline.stats prepared props in
       let tp = ref 0 and fn = ref 0 in
@@ -725,8 +737,8 @@ let ablation () =
           in
           (* typestate checkers only: the exception walk does its own
              feasibility checking independent of the engine flag *)
-          let results, _ =
-            Checkers.run_all prepared
+          let results, _, _ =
+            Checkers.run_all_scheduled prepared
               [ Checkers.io (); Checkers.lock (); Checkers.socket () ]
           in
           let tp = ref 0 and fp = ref 0 and fn = ref 0 in
@@ -748,37 +760,7 @@ let ablation () =
   print_endline
     "\nshape check: turning path sensitivity off keeps the true positives but\n\
      adds false positives on the planted infeasible-path decoys -- the\n\
-     Graspan-vs-Grapple precision gap the paper is built on.";
-  header "Ablation: parallel constraint solving (minihdfs pipeline)"
-    "\"concurrently accessed by multiple edge-induction threads\", §4.3";
-  Printf.printf "%8s %10s %10s\n" "domains" "time" "warnings";
-  let hdfs = Generator.mini_hdfs () in
-  List.iter
-    (fun domains ->
-      let workdir =
-        Filename.concat root_workdir (Printf.sprintf "ab-d%d" domains)
-      in
-      let config =
-        { (Pipeline.default_config ~workdir) with
-          Pipeline.library_throwers = Checkers.Specs.library_throwers;
-          engine =
-            { (Engine.default_config ~workdir) with
-              Engine.solver_domains = domains } }
-      in
-      let t0 = Unix.gettimeofday () in
-      let prepared = Pipeline.prepare ~config ~workdir hdfs.Generator.program in
-      let results, _ = Checkers.run_all prepared (Checkers.all ()) in
-      let dt = Unix.gettimeofday () -. t0 in
-      let warnings =
-        List.fold_left (fun a (_, rs) -> a + List.length rs) 0 results
-      in
-      Printf.printf "%8d %10s %10d\n" domains (hms dt) warnings)
-    [ 1; 2; 4 ];
-  print_endline
-    "\nshape check: identical warnings at every domain count.  Whether wall\n\
-     time drops tracks the SMT share of Figure 9: our decomposed\n\
-     Fourier-Motzkin solver is far cheaper relative to the join than Z3 was\n\
-     in the paper, so at this scale the fan-out overhead can win."
+     Graspan-vs-Grapple precision gap the paper is built on."
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection (robustness extension): the full pipeline under      *)
@@ -824,7 +806,9 @@ let faults () =
             let prepared =
               Pipeline.prepare ~config ~workdir subject.Generator.program
             in
-            let results, props = Checkers.run_all prepared (Checkers.all ()) in
+            let results, props, _ =
+              Checkers.run_all_scheduled prepared (Checkers.all ())
+            in
             let dt = Unix.gettimeofday () -. t0 in
             (signature results, Pipeline.stats prepared props, dt))
       in
@@ -902,9 +886,7 @@ let scaling ~fast () =
           (* time phases 2+3 only: phase 0/1 is shared preprocessing the
              scheduler does not touch *)
           let t0 = Unix.gettimeofday () in
-          let results, _, _ =
-            Checkers.run_all_scheduled ~workers prepared checkers
-          in
+          let results, _, _ = Checkers.run_all_scheduled prepared checkers in
           let dt = Unix.gettimeofday () -. t0 in
           let sg = signature results in
           let t1, sg1 =
@@ -1228,7 +1210,7 @@ let dsl_checkers () =
     let prepared =
       Pipeline.prepare ~config ~workdir subject.Generator.program
     in
-    let results, props = Checkers.run_all prepared [ c ] in
+    let results, props, _ = Checkers.run_all_scheduled prepared [ c ] in
     let dt = Unix.gettimeofday () -. t0 in
     let stats = Pipeline.stats prepared props in
     let reports =

@@ -74,7 +74,10 @@ let () =
   let program = Jir.Resolve.parse_exn ~file:"orders.jir" source in
   let workdir = Filename.concat (Filename.get_temp_dir_name ()) "grapple-custom" in
   let prepared = Grapple.Pipeline.prepare ~workdir program in
-  let result = Grapple.Pipeline.check_property prepared (transaction_fsm ()) in
+  let result =
+    List.hd
+      (fst (Grapple.Pipeline.check_properties prepared [ transaction_fsm () ]))
+  in
   Printf.printf "%d warning(s):\n" (List.length result.Grapple.Pipeline.reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))

@@ -45,7 +45,9 @@ let () =
 
   (* 3. check the Figure 3a property *)
   let fsm = Checkers.Specs.io_fsm () in
-  let result = Grapple.Pipeline.check_property prepared fsm in
+  let result =
+    List.hd (fst (Grapple.Pipeline.check_properties prepared [ fsm ]))
+  in
 
   (* 4. report *)
   let reports = result.Grapple.Pipeline.reports in

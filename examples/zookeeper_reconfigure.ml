@@ -63,7 +63,12 @@ let () =
           ("ServerSocketChannel", "configureBlocking", "IOException") ] }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let result = Grapple.Pipeline.check_property prepared (Checkers.Specs.socket_fsm ()) in
+  let result =
+    List.hd
+      (fst
+         (Grapple.Pipeline.check_properties prepared
+            [ Checkers.Specs.socket_fsm () ]))
+  in
   Printf.printf "%d warning(s):\n" (List.length result.Grapple.Pipeline.reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))

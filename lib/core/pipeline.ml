@@ -4,9 +4,9 @@
 
    [prepare] runs the frontend once per program: loop unrolling, ICFET
    construction, clone-tree planning, alias-graph generation, and the
-   phase-1 engine run.  [check_property] then runs phases 2 and 3 for one
-   FSM specification against the prepared state, so several checkers share
-   one alias computation exactly as in the paper. *)
+   phase-1 engine run.  [check_properties] then runs phases 2 and 3 as one
+   checking instance per FSM specification against the prepared state, so
+   several checkers share one alias computation exactly as in the paper. *)
 
 module Encoding = Pathenc.Encoding
 module Icfet = Symexec.Icfet
@@ -66,20 +66,14 @@ type config = {
       (* continue from the checkpoint manifests found in [workdir]
          (`grapple check --resume`); fresh sub-runs where none validate *)
   workers : int;
-      (* worker domains for the phase-2/3 instance scheduler
-         ([check_properties]); 1 runs the instances in the calling domain.
-         Whatever the count, the scheduler produces byte-identical reports
-         and counters *)
-  admission_budget : int;
-      (* cap on the summed size estimates ([estimate_instance] units) of
-         checking instances running concurrently; 0 = unlimited.  Bounds the
-         peak memory/disk footprint of a parallel run: the largest instances
-         are kept from running simultaneously.  An instance is always
-         admitted when nothing else is in flight, so progress never
-         starves *)
+      (* lanes of the in-process instance scheduler ([check_properties]):
+         at most this many instances run at once, the calling domain plus
+         whatever the process-wide budget ([Engine.Domains.set_cap])
+         grants; 1 runs them in the calling domain.  Whatever the count,
+         the scheduler produces byte-identical reports and counters *)
   shard_procs : int;
-      (* worker *processes* for the phase-2/3 instances (ISSUE 8): 0 runs
-         them in-process (on [workers] domains); N > 0 forks N crash-isolated
+      (* worker *processes* for the phase-2/3 instances: 0 runs them
+         in-process (on [workers] lanes); N > 0 forks N crash-isolated
          worker processes supervised with heartbeats and re-dispatch.
          Reports are byte-identical at every process count *)
   heartbeat_ms : float;
@@ -119,7 +113,6 @@ let default_config ~workdir =
     instance_edge_budget = 0;
     resume = false;
     workers = 1;
-    admission_budget = 0;
     shard_procs = 0;
     heartbeat_ms = 100.;
     max_redispatch = 3;
@@ -144,7 +137,7 @@ type fault_stats = {
   mutable n_recovered : int;  (* instances that succeeded after >= 1 restart *)
   mutable n_inconclusive : int;  (* instances degraded past the retry limit *)
   mutable n_instance_injected : int;
-      (* injected faults fired by the per-instance fault plans the parallel
+      (* injected faults fired by the per-instance fault plans the instance
          scheduler derives; the calling domain's plan never sees those ops,
          so [stats] adds this on top of its own [injected_count] delta *)
   smt_budget_hits0 : int;
@@ -311,7 +304,7 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
                 f.Analysis.Summaries.f_site.Analysis.Summaries.a_sid)
           in
           (* only the sids leave the lane: the summary table is dropped *)
-          let per_property fsm =
+          let per_property ~lane:_ fsm =
             let r = Analysis.Summaries.analyze ~plan fsm program in
             let clean, dirty =
               List.partition Analysis.Summaries.is_clean
@@ -466,7 +459,8 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
         else begin
           faults.n_retried <- faults.n_retried + 1;
           Unix.sleepf
-            (Engine.backoff_delay_s ~seed:config.engine.Engine.retry_seed
+            (Engine.Faults.backoff_delay_s
+               ~seed:config.engine.Engine.retry_seed
                ~base_ms:config.engine.Engine.retry_base_ms ~attempt);
           run_alias (attempt + 1)
         end
@@ -481,14 +475,14 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
 
 (* ---------------- phases 2 and 3 for one property ---------------- *)
 
-(* What a shard worker reports about its instance in place of live engine
-   state (which cannot cross the process boundary): the scalar totals
-   [stats] needs plus the engine's full metric registry — plain data, so
-   the whole record marshals. *)
-type shard_summary = {
+(* What a checking instance leaves behind in place of its engine: the
+   scalar totals [stats] needs plus the engine's full metric registry.  It
+   is plain data, so a shard worker sends the same summary across the
+   process boundary that an in-process instance keeps. *)
+type instance_summary = {
   sm_vertices : int;     (* dataflow-graph vertices *)
   sm_seed_edges : int;
-  sm_total_edges : int;  (* exact, counted by the worker before exit *)
+  sm_total_edges : int;  (* exact, counted while the engine was live *)
   sm_partitions : int;
   sm_metrics : Obs.Registry.t;
 }
@@ -499,10 +493,7 @@ type property_result = {
   degraded : string option;
       (* [Some reason] when the supervisor gave up on this instance; its
          only report is the matching [Inconclusive] entry *)
-  dataflow_engine : Dataflow_engine.t option;  (* [None] when degraded *)
-  dataflow_graph : Dataflow_graph.t option;
-  summary : shard_summary option;
-      (* present when the instance ran in a shard worker process *)
+  summary : instance_summary option;  (* [None] when degraded *)
 }
 
 let context_strings (p : prepared) inst =
@@ -537,10 +528,28 @@ let witness_of_constraint (f : Smt.Formula.t) : (string * int) list =
   | Smt.Solver.Model_unknown ->
       []
 
-(* The degraded stand-in for an instance the supervisor gave up on: one
-   [Inconclusive] report so the gap in coverage is visible in the output,
-   no engine state. *)
-let inconclusive_result (fsm : Fsm.t) (reason : string) : property_result =
+(* An instance's private workdir, and the fault scope its storage
+   operations run under. *)
+let instance_dir (fsm : Fsm.t) = "df-" ^ fsm.Fsm.name
+let instance_workdir (p : prepared) fsm =
+  Filename.concat p.config.workdir (instance_dir fsm)
+
+(* Best-effort removal of an instance's partition files. *)
+let sweep_instance_workdir (p : prepared) fsm =
+  let dir = instance_workdir p fsm in
+  if Sys.file_exists dir && Sys.is_directory dir then
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir)
+
+(* Give an instance up, whether its own retries ran out or its shard
+   worker kept dying: one [Inconclusive] report so the gap in coverage is
+   visible in the output, no engine state, and its partition files swept —
+   nothing will resume from them, and the workdir may be long-lived. *)
+let degrade (p : prepared) (fsm : Fsm.t) ~(acct : acct) reason :
+    property_result =
+  acct.a_inconclusive <- acct.a_inconclusive + 1;
+  sweep_instance_workdir p fsm;
   { fsm;
     reports =
       [ { Report.checker = fsm.Fsm.name;
@@ -552,17 +561,7 @@ let inconclusive_result (fsm : Fsm.t) (reason : string) : property_result =
           witness = [];
           trace = [] } ];
     degraded = Some reason;
-    dataflow_engine = None;
-    dataflow_graph = None;
     summary = None }
-
-(* Best-effort removal of a degraded instance's partition files: nothing
-   will resume from them, and the workdir may be long-lived. *)
-let sweep_instance_workdir dir =
-  if Sys.file_exists dir && Sys.is_directory dir then
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir)
 
 (* Per-instance engine configuration: the pipeline-level budgets override
    the engine defaults when set. *)
@@ -579,15 +578,16 @@ let instance_engine_config (config : config) ~workdir : Engine.config =
 (* One attempt at phases 2 and 3 for one property; raises on storage faults
    that survived the engine's op-level retries and on budget exhaustion.
    All accounting goes to [acct] — never to [p] — so the attempt can run on
-   a worker domain without sharing mutable state with its siblings. *)
-let attempt_property (p : prepared) (fsm : Fsm.t) ~(acct : acct) ~resume :
-    property_result =
+   a worker domain without sharing mutable state with its siblings.
+   Returns the reports with the still-live engine and graph, for the
+   instance summary. *)
+let attempt_property (p : prepared) (fsm : Fsm.t) ~(acct : acct) ~resume =
   let comp = ref 0. and chk = ref 0. in
   let dg =
     timed_span "phase2.dataflow_graph" comp (fun () ->
         Dataflow_graph.build p.icfet p.clones p.alias_graph p.flows fsm)
   in
-  let workdir = Filename.concat p.config.workdir ("df-" ^ fsm.Fsm.name) in
+  let workdir = instance_workdir p fsm in
   let engine_config = instance_engine_config p.config ~workdir in
   let engine =
     Dataflow_engine.create ~config:engine_config
@@ -669,21 +669,19 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~(acct : acct) ~resume :
           | _ -> ()));
   acct.a_compute_s <- acct.a_compute_s +. !comp;
   acct.a_check_s <- acct.a_check_s +. !chk;
-  { fsm; reports = Report.dedup (List.rev !reports); degraded = None;
-    dataflow_engine = Some engine; dataflow_graph = Some dg; summary = None }
+  (Report.dedup (List.rev !reports), engine, dg)
 
 (* Phases 2 and 3 for one property, supervised: on a storage fault that
    outlived the engine's own op-level retries, or on budget exhaustion, the
    instance is restarted with deterministic exponential backoff — resuming
    from its last checkpoint, so each attempt makes net progress — up to
-   [max_retries] times, after which it degrades to an [Inconclusive] report
-   instead of aborting the run.  Simulated crashes ([Faults.Crash]) are
-   deliberately not caught. *)
-let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
-    ~(acct : acct) : property_result =
-  (* [resume_first]: the very first attempt already resumes from the
-     instance's checkpoint manifest — a shard worker re-dispatched after its
-     predecessor died continues that predecessor's work *)
+   [max_retries] times, after which it returns [Error reason] for the
+   caller to degrade instead of aborting the run.  Simulated crashes
+   ([Faults.Crash]) are deliberately not caught.  [resume_first]: the very
+   first attempt already resumes from the instance's checkpoint manifest —
+   a shard worker re-dispatched after its predecessor died continues that
+   predecessor's work. *)
+let supervise ~resume_first (p : prepared) (fsm : Fsm.t) ~(acct : acct) =
   let rec go attempt =
     match
       attempt_property p fsm ~acct
@@ -691,7 +689,7 @@ let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
     with
     | r ->
         if attempt > 0 then acct.a_recovered <- acct.a_recovered + 1;
-        r
+        Ok r
     | exception ((Engine.Faults.Injected _ | Sys_error _
                  | Engine.Budget_exhausted _) as exn) ->
         let reason =
@@ -703,54 +701,50 @@ let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
         if attempt < p.config.max_retries then begin
           acct.a_retried <- acct.a_retried + 1;
           Unix.sleepf
-            (Engine.backoff_delay_s ~seed:p.config.engine.Engine.retry_seed
+            (Engine.Faults.backoff_delay_s
+               ~seed:p.config.engine.Engine.retry_seed
                ~base_ms:p.config.engine.Engine.retry_base_ms ~attempt);
           go (attempt + 1)
         end
-        else begin
-          acct.a_inconclusive <- acct.a_inconclusive + 1;
-          sweep_instance_workdir
-            (Filename.concat p.config.workdir ("df-" ^ fsm.Fsm.name));
-          inconclusive_result fsm reason
-        end
+        else Error reason
   in
   go 0
 
-let check_property (p : prepared) (fsm : Fsm.t) : property_result =
-  let acct = fresh_acct () in
-  let r = supervise p fsm ~acct in
-  merge_acct p acct;
-  r
-
-(* ---------------- parallel instance scheduler (ISSUE 4) ----------------
+(* ---------------- the instance scheduler ----------------
 
    Phases 2 and 3 are independent across properties: each checking instance
    owns its private workdir ([df-<name>]), engine, metrics, and retry
-   state, and only reads the shared phase-0/1 results.  The scheduler runs
-   one run's instances on a fixed pool of worker domains:
+   state, and only reads the shared phase-0/1 results.  One core schedules
+   them, whichever executor runs them:
 
-   - instances are queued largest-estimated-first so the long poles start
-     as early as possible;
-   - an optional admission budget bounds the summed estimates in flight,
-     keeping the biggest instances from peaking together;
-   - when a fault plan is installed, each instance runs under a plan
-     *derived* from it, salted with the instance's stable identity: its
-     fault stream depends only on its own operation history, never on how
-     instances interleave across workers;
-   - per-instance accounting is merged in canonical (input) order after
-     every worker has joined.
+   - instances start largest-estimated-first, so the long poles start as
+     early as possible;
+   - every instance runs the same body, [run_instance]: under a fault plan
+     *derived* from the run's plan and salted with the instance's name, so
+     its fault stream depends only on its own operation history, never on
+     placement, interleaving or crash schedule;
+   - results are merged in canonical (input) order once every instance is
+     done.
 
-   Reports, fault counters, and statistics are therefore byte-identical at
-   every worker count, and a crashed parallel run's checkpoints can be
-   resumed by a run with any other worker count.  Simulated crashes
-   ([Faults.Crash]) behave like a process kill: the pool stops pulling
-   work and the crash is re-raised once all workers have joined, with
-   nothing of the in-memory run surviving — exactly what [--resume] is
-   for. *)
+   The domain executor runs the instances on up to [workers] lanes of the
+   process-wide domain budget.  The process executor ([shard_procs] > 0)
+   runs each dispatch in a forked worker process under
+   [Engine.Supervisor]: an instance that OOMs, segfaults or wedges takes
+   down only its worker, which is replaced; the instance is re-dispatched
+   and resumes from its checkpoint manifest, and past [max_redispatch]
+   losses it degrades like budget exhaustion.
+
+   Reports, fault counters and statistics are therefore byte-identical at
+   every worker count, process count and crash schedule, and a crashed
+   run's checkpoints can be resumed under any other setting.  A simulated
+   crash ([Faults.Crash]) in the domain executor behaves like a process
+   kill: no lane starts another instance and the crash is re-raised once
+   all lanes have joined, with nothing of the in-memory run surviving —
+   exactly what [--resume] is for. *)
 
 type schedule_entry = {
   s_instance : string;  (* the FSM / checker name *)
-  s_worker : int;       (* worker slot that ran it *)
+  s_worker : int;       (* lane or worker slot that ran it; -1 if lost *)
   s_estimate : int;     (* size estimate that ordered the queue *)
   s_wall_s : float;     (* wall-clock of the instance on its worker *)
 }
@@ -781,169 +775,15 @@ let order_items (p : prepared) (fsms : Fsm.t list) =
          | 0 -> compare f1.Fsm.name f2.Fsm.name
          | c -> c)
 
-let check_properties_domains ?workers (p : prepared) (fsms : Fsm.t list) :
-    property_result list * schedule_entry list =
-  let workers =
-    match workers with Some w -> max 1 w | None -> max 1 p.config.workers
-  in
-  let n = List.length fsms in
-  if n = 0 then ([], [])
-  else begin
-    let queue = ref (order_items p fsms) in
-    let mu = Mutex.create () in
-    let cond = Condition.create () in
-    let in_flight = ref 0 in
-    let stop = Atomic.make false in
-    let results : property_result option array = Array.make n None in
-    let accts : acct option array = Array.make n None in
-    let entries : schedule_entry option array = Array.make n None in
-    let failure : exn option Atomic.t = Atomic.make None in
-    let budget = p.config.admission_budget in
-    let pop () =
-      Mutex.lock mu;
-      let rec go () =
-        if Atomic.get stop || !queue = [] then None
-        else
-          let fits (_, _, est) =
-            budget <= 0 || !in_flight = 0 || !in_flight + est <= budget
-          in
-          match List.find_opt fits !queue with
-          | Some ((_, _, est) as item) ->
-              queue := List.filter (fun x -> x != item) !queue;
-              in_flight := !in_flight + est;
-              Some item
-          | None ->
-              (* everything queued is over the admission budget right now:
-                 wait for a running instance to finish and retry *)
-              Condition.wait cond mu;
-              go ()
-      in
-      let r = go () in
-      Mutex.unlock mu;
-      r
-    in
-    let finished est =
-      Mutex.lock mu;
-      in_flight := !in_flight - est;
-      Condition.broadcast cond;
-      Mutex.unlock mu
-    in
-    (* the base plan is captured in the calling domain; each instance runs
-       under a derived stream keyed to its own worker-independent identity *)
-    let base_plan = Engine.Faults.current () in
-    let run_instance ~slot (idx, fsm, est) =
-      Obs.Trace.with_span ~cat:"scheduler"
-        ~args:[ ("instance", Obs.Trace.Str fsm.Fsm.name);
-                ("worker", Obs.Trace.Int slot);
-                ("estimate", Obs.Trace.Int est) ]
-        "scheduler.instance"
-      @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      let acct = fresh_acct () in
-      let saved = Engine.Faults.current () in
-      let plan =
-        Option.map
-          (fun b ->
-            Engine.Faults.derive b
-              ~salt:(Engine.Faults.salt_of_string fsm.Fsm.name))
-          base_plan
-      in
-      (match plan with
-      | Some pl -> Engine.Faults.install pl
-      | None -> Engine.Faults.clear ());
-      Engine.Faults.set_scope (Some ("df-" ^ fsm.Fsm.name));
-      Fun.protect
-        ~finally:(fun () ->
-          Engine.Faults.set_scope None;
-          match saved with
-          | Some pl -> Engine.Faults.install pl
-          | None -> Engine.Faults.clear ())
-        (fun () ->
-          let r = supervise p fsm ~acct in
-          (match plan with
-          | Some pl -> acct.a_injected <- pl.Engine.Faults.n_injected
-          | None -> ());
-          results.(idx) <- Some r;
-          accts.(idx) <- Some acct;
-          entries.(idx) <-
-            Some
-              { s_instance = fsm.Fsm.name; s_worker = slot; s_estimate = est;
-                s_wall_s = Unix.gettimeofday () -. t0 })
-    in
-    let worker slot =
-      let rec loop () =
-        match pop () with
-        | None -> ()
-        | Some ((_, _, est) as item) -> (
-            match run_instance ~slot item with
-            | () ->
-                finished est;
-                loop ()
-            | exception exn ->
-                (* a simulated crash (or unexpected error) kills the run:
-                   record the first, stop the pool, wake any waiters *)
-                ignore (Atomic.compare_and_set failure None (Some exn));
-                Atomic.set stop true;
-                finished est)
-      in
-      loop ()
-    in
-    let pool = min workers n in
-    if pool <= 1 then worker 0
-    else begin
-      (* the pool takes priority over the engines' own solver fan-out:
-         reserving a slot per worker makes [solve_batch] inside the workers
-         degrade to sequential solving instead of oversubscribing the
-         machine W×S ways *)
-      Engine.Domains.reserve pool;
-      Fun.protect
-        ~finally:(fun () -> Engine.Domains.release pool)
-        (fun () ->
-          List.init pool (fun slot ->
-              Engine.Domains.spawn (fun () -> worker slot))
-          |> List.iter Domain.join)
-    end;
-    (match Atomic.get failure with Some exn -> raise exn | None -> ());
-    (* merge the per-instance accounts in canonical order: float additions
-       happen in the same sequence at every worker count *)
-    for idx = 0 to n - 1 do
-      match accts.(idx) with
-      | Some a -> merge_acct p a
-      | None -> assert false
-    done;
-    ( List.init n (fun idx -> Option.get results.(idx)),
-      List.init n (fun idx -> Option.get entries.(idx)) )
-  end
-
-(* ---------------- supervised multi-process shard runtime (ISSUE 8) ----
-
-   The same instances, scheduled largest-estimated-first like the domain
-   pool, but each dispatch runs in a forked worker *process*: an instance
-   that OOMs, segfaults, or wedges takes down only its worker.  The
-   [Engine.Supervisor] kills and replaces dead/hung workers and re-dispatches
-   their in-flight instance, which resumes from the instance's checkpoint
-   manifest ([supervise ~resume_first]); past [max_redispatch] losses the
-   instance degrades to [Inconclusive], the same contract as budget
-   exhaustion.  Each dispatch attempt re-derives the instance's fault plan
-   from scratch (fresh counters, same salt), so its fault stream depends
-   only on its own operation history — reports are byte-identical at any
-   process count and any crash schedule.  Results return as marshalled
-   [shard_account] frames and are merged in canonical instance order. *)
-
-(* The frame a worker sends back for one completed instance. *)
-type shard_account = {
-  sa_reports : Report.t list;
-  sa_degraded : string option;
-  sa_acct : acct;
-  sa_summary : shard_summary option;
-}
-
-(* Runs inside the forked worker: one supervised instance attempt chain,
-   ending with the engine-state summary (computed while the engine is still
-   alive — it dies with the process). *)
-let run_shard_instance (p : prepared) (fsm : Fsm.t) ~base_plan ~attempt :
-    string =
+(* One checking instance, in-process or in a shard worker: install its
+   derived fault plan and scope, run it under [supervise], and build its
+   summary while the engine is still live.  [attempt] counts the
+   dispatches before this one; each re-derives the plan from scratch
+   (fresh counters, same salt). *)
+let run_instance (p : prepared) (fsm : Fsm.t) ~base_plan ~attempt :
+    property_result * acct =
   let acct = fresh_acct () in
+  let saved = Engine.Faults.current () in
   let plan =
     Option.map
       (fun b ->
@@ -954,117 +794,130 @@ let run_shard_instance (p : prepared) (fsm : Fsm.t) ~base_plan ~attempt :
   (match plan with
   | Some pl -> Engine.Faults.install pl
   | None -> Engine.Faults.clear ());
-  Engine.Faults.set_scope (Some ("df-" ^ fsm.Fsm.name));
-  let r = supervise ~resume_first:(attempt > 0) p fsm ~acct in
-  (match plan with
-  | Some pl -> acct.a_injected <- pl.Engine.Faults.n_injected
-  | None -> ());
-  (* the summary's partition reload must not fault: the plan has done its
-     deterministic work for this instance by now *)
-  Engine.Faults.set_scope None;
-  Engine.Faults.clear ();
-  let summary =
-    match r.dataflow_engine with
-    | None -> None
-    | Some e ->
-        (* [total_edges] first: it reloads partitions, matching the order
-           the in-process [stats] path reads them in *)
-        let total = Dataflow_engine.total_edges e in
-        let m = Dataflow_engine.metrics e in
-        Some
-          { sm_vertices =
-              Option.fold ~none:0 ~some:Dataflow_graph.n_vertices
-                r.dataflow_graph;
-            sm_seed_edges = Dataflow_engine.n_seed_edges e;
-            sm_total_edges = total;
-            sm_partitions = Dataflow_engine.n_partitions e;
-            sm_metrics = Engine.Metrics.registry m }
-  in
-  Marshal.to_string
-    { sa_reports = r.reports; sa_degraded = r.degraded; sa_acct = acct;
-      sa_summary = summary }
-    []
-
-let check_properties_shard (p : prepared) (fsms : Fsm.t list) :
-    property_result list * schedule_entry list =
-  let n = List.length fsms in
-  if n = 0 then ([], [])
-  else begin
-    let order = Array.of_list (order_items p fsms) in
-    (* captured before the fork: every worker derives from the same base *)
-    let base_plan = Engine.Faults.current () in
-    let sup_config =
-      { Engine.Supervisor.default_config with
-        Engine.Supervisor.procs = p.config.shard_procs;
-        heartbeat_ms = p.config.heartbeat_ms;
-        deadline_s = p.config.shard_deadline_s;
-        max_redispatch = p.config.max_redispatch;
-        retry_seed = p.config.engine.Engine.retry_seed;
-        retry_base_ms = p.config.engine.Engine.retry_base_ms;
-        kill_nth = p.config.shard_kill_nth }
-    in
-    let tasks = Array.map (fun (_, f, _) -> f.Fsm.name) order in
-    let run_task ~task ~attempt =
-      let _, fsm, _ = order.(task) in
-      run_shard_instance p fsm ~base_plan ~attempt
-    in
-    let outcomes =
-      Obs.Trace.with_span ~cat:"scheduler"
-        ~args:[ ("procs", Obs.Trace.Int p.config.shard_procs);
-                ("instances", Obs.Trace.Int n) ]
-        "scheduler.shard"
-        (fun () ->
-          Engine.Supervisor.run ~reg:p.sup_reg ~config:sup_config ~tasks
-            ~run_task ())
-    in
-    let results : property_result option array = Array.make n None in
-    let accts : acct option array = Array.make n None in
-    let entries : schedule_entry option array = Array.make n None in
-    Array.iteri
-      (fun k outcome ->
-        let idx, fsm, est = order.(k) in
+  Engine.Faults.set_scope (Some (instance_dir fsm));
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Faults.set_scope None;
+      match saved with
+      | Some pl -> Engine.Faults.install pl
+      | None -> Engine.Faults.clear ())
+    (fun () ->
+      let outcome = supervise ~resume_first:(attempt > 0) p fsm ~acct in
+      Option.iter
+        (fun pl -> acct.a_injected <- pl.Engine.Faults.n_injected)
+        plan;
+      (* the summary's partition reads must not fault: the plan has done
+         its deterministic work for this instance by now *)
+      Engine.Faults.set_scope None;
+      Engine.Faults.clear ();
+      let result =
         match outcome with
-        | Engine.Supervisor.Completed { payload; slot; wall_s } ->
-            let (sa : shard_account) = Marshal.from_string payload 0 in
-            results.(idx) <-
-              Some
-                { fsm; reports = sa.sa_reports; degraded = sa.sa_degraded;
-                  dataflow_engine = None; dataflow_graph = None;
-                  summary = sa.sa_summary };
-            accts.(idx) <- Some sa.sa_acct;
-            entries.(idx) <-
-              Some
-                { s_instance = fsm.Fsm.name; s_worker = slot;
-                  s_estimate = est; s_wall_s = wall_s }
-        | Engine.Supervisor.Degraded reason ->
-            (* the instance lost [max_redispatch + 1] worker processes in a
-               row: degrade it exactly like budget exhaustion would *)
-            sweep_instance_workdir
-              (Filename.concat p.config.workdir ("df-" ^ fsm.Fsm.name));
-            let acct = fresh_acct () in
-            acct.a_inconclusive <- 1;
-            results.(idx) <- Some (inconclusive_result fsm reason);
-            accts.(idx) <- Some acct;
-            entries.(idx) <-
-              Some
-                { s_instance = fsm.Fsm.name; s_worker = -1; s_estimate = est;
-                  s_wall_s = 0. })
-      outcomes;
-    (* canonical-order merge, as in the domain scheduler: the aggregate is
-       independent of which worker ran what and of any crash schedule *)
-    for idx = 0 to n - 1 do
-      match accts.(idx) with
-      | Some a -> merge_acct p a
-      | None -> assert false
-    done;
-    ( List.init n (fun idx -> Option.get results.(idx)),
-      List.init n (fun idx -> Option.get entries.(idx)) )
-  end
+        | Error reason -> degrade p fsm ~acct reason
+        | Ok (reports, engine, dg) ->
+            (* [total_edges] first: its partition reads belong in the
+               registry the summary carries *)
+            let total = Dataflow_engine.total_edges engine in
+            let summary =
+              { sm_vertices = Dataflow_graph.n_vertices dg;
+                sm_seed_edges = Dataflow_engine.n_seed_edges engine;
+                sm_total_edges = total;
+                sm_partitions = Dataflow_engine.n_partitions engine;
+                sm_metrics =
+                  Engine.Metrics.registry (Dataflow_engine.metrics engine) }
+            in
+            { fsm; reports; degraded = None; summary = Some summary }
+      in
+      (result, acct))
 
-let check_properties ?workers (p : prepared) (fsms : Fsm.t list) :
+(* How an executor hands an instance back: run to the end (perhaps
+   degraded by its own supervision) on lane or worker slot [worker], or
+   lost because its shard worker process died on every dispatch. *)
+type outcome =
+  | Ran of { result : property_result; acct : acct; worker : int;
+             wall_s : float }
+  | Lost of string
+
+(* The domain executor: lane 0 is the calling domain. *)
+let run_domains (p : prepared) order ~base_plan =
+  Engine.Domains.map ~lanes:p.config.workers
+    (fun ~lane (_, fsm, est) ->
+      Obs.Trace.with_span ~cat:"scheduler"
+        ~args:[ ("instance", Obs.Trace.Str fsm.Fsm.name);
+                ("worker", Obs.Trace.Int lane);
+                ("estimate", Obs.Trace.Int est) ]
+        "scheduler.instance"
+      @@ fun () ->
+      let t0 = Unix.gettimeofday () in
+      let result, acct = run_instance p fsm ~base_plan ~attempt:0 in
+      Ran { result; acct; worker = lane; wall_s = Unix.gettimeofday () -. t0 })
+    order
+
+(* The process executor: results return as marshalled frames. *)
+let run_processes (p : prepared) order ~base_plan =
+  let items = Array.of_list order in
+  let config =
+    { Engine.Supervisor.default_config with
+      Engine.Supervisor.procs = p.config.shard_procs;
+      heartbeat_ms = p.config.heartbeat_ms;
+      deadline_s = p.config.shard_deadline_s;
+      max_redispatch = p.config.max_redispatch;
+      retry_seed = p.config.engine.Engine.retry_seed;
+      retry_base_ms = p.config.engine.Engine.retry_base_ms;
+      kill_nth = p.config.shard_kill_nth }
+  in
+  let run_task ~task ~attempt =
+    let _, fsm, _ = items.(task) in
+    Marshal.to_string (run_instance p fsm ~base_plan ~attempt) []
+  in
+  Obs.Trace.with_span ~cat:"scheduler"
+    ~args:[ ("procs", Obs.Trace.Int p.config.shard_procs);
+            ("instances", Obs.Trace.Int (Array.length items)) ]
+    "scheduler.shard"
+    (fun () ->
+      Engine.Supervisor.run ~reg:p.sup_reg ~config
+        ~tasks:(Array.map (fun (_, f, _) -> f.Fsm.name) items)
+        ~run_task ())
+  |> Array.to_list
+  |> List.map (function
+       | Engine.Supervisor.Completed { payload; slot; wall_s } ->
+           let (result, acct : property_result * acct) =
+             Marshal.from_string payload 0
+           in
+           Ran { result; acct; worker = slot; wall_s }
+       | Engine.Supervisor.Degraded reason -> Lost reason)
+
+let check_properties (p : prepared) (fsms : Fsm.t list) :
     property_result list * schedule_entry list =
-  if p.config.shard_procs > 0 then check_properties_shard p fsms
-  else check_properties_domains ?workers p fsms
+  let order = order_items p fsms in
+  (* captured in the calling domain before any fork: every instance
+     derives its plan from the same base *)
+  let base_plan = Engine.Faults.current () in
+  let outcomes =
+    if p.config.shard_procs > 0 then run_processes p order ~base_plan
+    else run_domains p order ~base_plan
+  in
+  let settled =
+    List.map2
+      (fun (idx, fsm, est) outcome ->
+        let result, acct, worker, wall_s =
+          match outcome with
+          | Ran { result; acct; worker; wall_s } ->
+              (result, acct, worker, wall_s)
+          | Lost reason ->
+              let acct = fresh_acct () in
+              (degrade p fsm ~acct reason, acct, -1, 0.)
+        in
+        ( idx, result, acct,
+          { s_instance = fsm.Fsm.name; s_worker = worker; s_estimate = est;
+            s_wall_s = wall_s } ))
+      order outcomes
+    |> List.sort (fun (i, _, _, _) (j, _, _, _) -> compare i j)
+  in
+  (* canonical-order merge: float additions happen in the same sequence
+     whichever executor ran what *)
+  List.iter (fun (_, _, acct, _) -> merge_acct p acct) settled;
+  ( List.map (fun (_, result, _, _) -> result) settled,
+    List.map (fun (_, _, _, entry) -> entry) settled )
 
 (* ---------------- aggregate statistics (Tables 3-5, Figure 9) -------- *)
 
@@ -1123,51 +976,29 @@ let combine_metrics (ms : Engine.Metrics.t list) : Engine.Metrics.t =
 
 let stats (p : prepared) (props : property_result list) : stats =
   let alias_m = Alias_engine.metrics p.alias_engine in
-  (* instances that ran in a shard worker carry no live engine/graph; their
-     totals and metric registry come from the worker's [shard_summary] *)
-  let df_ms =
-    List.filter_map
-      (fun pr ->
-        match pr.dataflow_engine with
-        | Some e -> Some (Dataflow_engine.metrics e)
-        | None ->
-            Option.map
-              (fun s -> Engine.Metrics.of_registry s.sm_metrics)
-              pr.summary)
-      props
-  in
-  let sum f = List.fold_left (fun acc pr -> acc + f pr) 0 props in
-  let sum_engines f g =
-    sum (fun pr ->
-        match (pr.dataflow_engine, pr.summary) with
-        | Some e, _ -> f e
-        | None, Some s -> g s
-        | None, None -> 0)
-  in
+  (* every instance that was not degraded left its summary *)
+  let summaries = List.filter_map (fun pr -> pr.summary) props in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 summaries in
   let n_vertices =
-    Alias_graph.n_vertices p.alias_graph
-    + sum (fun pr ->
-          match (pr.dataflow_graph, pr.summary) with
-          | Some dg, _ -> Dataflow_graph.n_vertices dg
-          | None, Some s -> s.sm_vertices
-          | None, None -> 0)
+    Alias_graph.n_vertices p.alias_graph + sum (fun s -> s.sm_vertices)
   in
   let n_edges_before =
-    Alias_engine.n_seed_edges p.alias_engine
-    + sum_engines Dataflow_engine.n_seed_edges (fun s -> s.sm_seed_edges)
+    Alias_engine.n_seed_edges p.alias_engine + sum (fun s -> s.sm_seed_edges)
   in
   let n_edges_after =
-    Alias_engine.total_edges p.alias_engine
-    + sum_engines Dataflow_engine.total_edges (fun s -> s.sm_total_edges)
+    Alias_engine.total_edges p.alias_engine + sum (fun s -> s.sm_total_edges)
   in
   let n_partitions =
-    Alias_engine.n_partitions p.alias_engine
-    + sum_engines Dataflow_engine.n_partitions (fun s -> s.sm_partitions)
+    Alias_engine.n_partitions p.alias_engine + sum (fun s -> s.sm_partitions)
   in
   (* combined last: [total_edges] above reloads partitions, and under an
      active fault plan those loads can themselves be retried — summing the
      metrics afterwards keeps such retries visible in [n_retried] *)
-  let m = combine_metrics (alias_m :: df_ms) in
+  let m =
+    combine_metrics
+      (alias_m
+      :: List.map (fun s -> Engine.Metrics.of_registry s.sm_metrics) summaries)
+  in
   let count c = Engine.Metrics.count c in
   let n_retried = p.faults.n_retried + count m.Engine.Metrics.retries in
   let n_smt_budget_hits =
@@ -1244,14 +1075,6 @@ let check ?config ~workdir program fsms =
 
 let cleanup (p : prepared) (props : property_result list) =
   Alias_engine.cleanup p.alias_engine;
-  List.iter
-    (fun pr ->
-      match pr.dataflow_engine with
-      | Some e -> Dataflow_engine.cleanup e
-      | None ->
-          (* a shard instance's partition files outlive its worker process;
-             sweep its private workdir by name *)
-          if pr.summary <> None then
-            sweep_instance_workdir
-              (Filename.concat p.config.workdir ("df-" ^ pr.fsm.Fsm.name)))
-    props
+  (* instance engines are gone by now; their partition files are swept by
+     workdir name *)
+  List.iter (fun pr -> sweep_instance_workdir p pr.fsm) props

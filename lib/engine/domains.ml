@@ -1,19 +1,16 @@
 (* Process-wide domain budget.
 
-   Two layers of the system want true parallelism: the pipeline's instance
-   scheduler runs checking instances on a fixed worker pool, and inside each
-   instance the engine's SMT batch fan-out ([Engine.solve_batch]) spawns
-   short-lived solver domains.  Left uncoordinated, the two multiply — W
-   workers each spawning S solver domains oversubscribes the machine W×S.
+   The pipeline fans work out over domains in two places: the summary tier
+   runs its properties in parallel, and the instance scheduler runs its
+   checking instances in parallel.  Both go through [map], which draws its
+   extra domains from one shared cap, so the process never holds more live
+   domains than the cap allows, whatever [--workers] asks for.
 
-   This module is the shared cap both layers draw from.  The cap counts
-   *live domains including the initial one*; a layer that wants to fan out
-   [acquire]s up to the slots it could use, spawns exactly what it was
-   granted (possibly zero — then it degrades to sequential execution in the
-   domain it already owns), and [release]s the slots when its domains are
-   joined.  Grants never block: parallelism is an optimization here, never
-   a correctness requirement, so a layer finding the budget exhausted just
-   proceeds sequentially.
+   The cap counts *live domains including the initial one*; [acquire]
+   grants up to the slots a caller could use (possibly zero — then [map]
+   degrades to sequential execution in the domain it already owns), and
+   [release] returns them once the domains are joined.  Grants never block:
+   parallelism is an optimization here, never a correctness requirement.
 
    [spawn] is a counting wrapper around [Domain.spawn]; every spawner in the
    tree goes through it so tests can pin the total number of domains ever
@@ -44,47 +41,44 @@ let rec acquire ~max:want =
 
 let release n = if n > 0 then ignore (Atomic.fetch_and_add available n)
 
-(* Unconditionally take [n] slots — the instance scheduler's workers have
-   priority over solver fan-out.  [available] may go negative; [acquire]
-   then grants nothing until the slots are released, which is exactly the
-   intended degradation: engines inside worker domains solve sequentially. *)
-let reserve n = if n > 0 then ignore (Atomic.fetch_and_add available (-n))
-
 let spawn f =
   Atomic.incr spawned_total;
   Domain.spawn f
 
 let n_spawned () = Atomic.get spawned_total
 
-(* [List.map f xs] on up to [lanes] live domains, the calling one included.
-   The extra lanes are whatever [acquire] grants, so an exhausted budget
-   degrades to a plain sequential map.  Lanes take the next element from a
-   shared counter; the result keeps the input order whatever the grant was.
-   Every spawned lane is joined before an exception of any lane is
-   re-raised. *)
+(* [List.map (f ~lane) xs] on up to [lanes] live domains: lane 0 is the
+   calling domain, the others are whatever [acquire] grants, so an
+   exhausted budget degrades to a plain sequential map.  Lanes take the
+   next element from a shared counter, so elements start in list order;
+   the result keeps the input order whatever the grant was.  Once an
+   element raises, no lane starts another; every spawned lane is joined,
+   then the first exception recorded is re-raised. *)
 let map ~lanes f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
   let grant = acquire ~max:(min lanes n - 1) in
-  if grant = 0 then List.map f xs
-  else
-    Fun.protect
-      ~finally:(fun () -> release grant)
-      (fun () ->
-        let out = Array.make n None in
-        let next = Atomic.make 0 in
-        let rec lane () =
+  Fun.protect
+    ~finally:(fun () -> release grant)
+    (fun () ->
+      let out = Array.make n None in
+      let next = Atomic.make 0 in
+      let failure = Atomic.make None in
+      let rec run lane =
+        if Option.is_none (Atomic.get failure) then begin
           let i = Atomic.fetch_and_add next 1 in
           if i < n then begin
-            out.(i) <- Some (f items.(i));
-            lane ()
+            (match f ~lane items.(i) with
+            | y -> out.(i) <- Some y
+            | exception e ->
+                ignore (Atomic.compare_and_set failure None (Some e)));
+            run lane
           end
-        in
-        let attempt f x = match f x with () -> Ok () | exception e -> Error e in
-        let spawned = List.init grant (fun _ -> spawn lane) in
-        let mine = attempt lane () in
-        let theirs = List.map (attempt Domain.join) spawned in
-        List.iter
-          (function Error e -> raise e | Ok () -> ())
-          (mine :: theirs);
-        Array.to_list (Array.map Option.get out))
+        end
+      in
+      let spawned = List.init grant (fun k -> spawn (fun () -> run (k + 1))) in
+      run 0;
+      List.iter Domain.join spawned;
+      match Atomic.get failure with
+      | Some e -> raise e
+      | None -> Array.to_list (Array.map Option.get out))

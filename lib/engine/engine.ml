@@ -83,10 +83,6 @@ type config = {
       (* distinct path encodings kept per (src, dst, label); further feasible
          paths between the same endpoints with the same label are witnesses
          of the same fact and are dropped; 0 = unlimited *)
-  solver_domains : int;
-      (* worker domains for parallel constraint solving ("multiple
-         edge-induction threads" of §4.3); 1 = sequential.  Decode/solve
-         timers are merged into the solve timer when > 1. *)
   max_retries : int;
       (* transient storage faults absorbed per operation before the failure
          propagates to the caller *)
@@ -110,15 +106,6 @@ exception Budget_exhausted of string
    checkpoint manifest is durable and the run is resumable. *)
 exception Interrupted = Interrupt.Interrupted
 
-(* Deterministic backoff: [base * 2^attempt], scaled by a seeded jitter in
-   [1, 2) so concurrent instances don't retry in lockstep, yet a given
-   (seed, attempt) always sleeps the same amount. *)
-let backoff_delay_s ~seed ~base_ms ~attempt =
-  let jitter =
-    1. +. (float_of_int (Faults.mix3 seed 0x7e7 attempt mod 1000) /. 1000.)
-  in
-  base_ms /. 1000. *. (2. ** float_of_int attempt) *. jitter
-
 (* mkdir -p *)
 let rec ensure_dir dir =
   if dir <> "" && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -135,7 +122,6 @@ let default_config ~workdir =
     feasibility_enabled = true;
     max_path_elements = 64;
     max_encodings_per_key = 8;
-    solver_domains = 1;
     max_retries = 3;
     retry_base_ms = 2.;
     retry_seed = 0x6a09;
@@ -267,7 +253,7 @@ module Make (L : LABEL_LOGIC) = struct
             ~args:[ ("attempt", Obs.Trace.Int attempt) ]
             "storage.retry";
           Unix.sleepf
-            (backoff_delay_s ~seed:t.config.retry_seed
+            (Faults.backoff_delay_s ~seed:t.config.retry_seed
                ~base_ms:t.config.retry_base_ms ~attempt);
           go (attempt + 1)
         end
@@ -293,38 +279,15 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* ---------------- feasibility with memoization ---------------- *)
 
-  let solve_one decode enc =
-    match Solver.check (decode enc) with
-    | Solver.Sat | Solver.Unknown -> true
-    | Solver.Unsat -> false
-
-  (* Decide a batch of (deduplicated, cache-missed) encodings, fanning the
-     work out over worker domains when configured.  Decoding and solving are
-     both pure over read-only state (the ICFET, the formula algebra), and
-     the solver's statistics counters are atomic, so the verdicts — and the
-     counter totals — are independent of how the batch is split.
-
-     The fan-out draws its extra domains from the process-wide
-     [Domains] budget: when the instance scheduler already owns every slot
-     (this engine is running inside a worker domain), [acquire] grants
-     nothing and the batch degrades to sequential solving in the calling
-     domain instead of oversubscribing the machine. *)
-  let solve_batch t (encs : Encoding.t list) : (Encoding.t * bool) list =
-    let n = List.length encs in
-    let domains = t.config.solver_domains in
-    let solve enc = (enc, solve_one t.decode enc) in
-    (* spawning a domain costs ~an OS thread; only fan out when the batch
-       amortizes it *)
-    if domains <= 1 || n < 16 * domains then List.map solve encs
-    else
-      (* [domains] contiguous chunks, concatenated in index order: the
-         result list preserves the input order whatever the grant was, so
-         downstream consumers (LRU insertion order in particular) behave
-         identically at every degree of fan-out *)
-      let chunk = (n + domains - 1) / domains in
-      List.init domains (fun k -> List.filteri (fun i _ -> i / chunk = k) encs)
-      |> Domains.map ~lanes:domains (List.map solve)
-      |> List.concat
+  (* Decode and decide one encoding, each step on its own timer; a budget
+     cut ([Unknown]) is assumed feasible. *)
+  let solve t enc =
+    let m = t.metrics in
+    let formula = Metrics.time m `Decode (fun () -> t.decode enc) in
+    Metrics.time m `Solve (fun () ->
+        match Solver.check formula with
+        | Solver.Sat | Solver.Unknown -> true
+        | Solver.Unsat -> false)
 
   (* [bytes] must be [enc]'s canonical wire bytes (the cache key). *)
   let feasible t ~(bytes : string) (enc : Encoding.t) : bool =
@@ -345,13 +308,7 @@ module Make (L : LABEL_LOGIC) = struct
           Metrics.incr m.Metrics.cache_hits;
           answer
       | None ->
-          let formula = Metrics.time m `Decode (fun () -> t.decode enc) in
-          let answer =
-            Metrics.time m `Solve (fun () ->
-                match Solver.check formula with
-                | Solver.Sat | Solver.Unknown -> true
-                | Solver.Unsat -> false)
-          in
+          let answer = solve t enc in
           Metrics.incr m.Metrics.constraints_solved;
           if t.config.cache_enabled then Lru.add t.cache bytes answer;
           answer
@@ -732,7 +689,7 @@ module Make (L : LABEL_LOGIC) = struct
   }
 
   (* How many candidates are collected before feasibility checks are
-     resolved (in parallel when [solver_domains] > 1). *)
+     resolved. *)
   let chunk_cap = 2048
 
   (* Join the loaded partitions to a local fixpoint, semi-naively: each
@@ -795,7 +752,7 @@ module Make (L : LABEL_LOGIC) = struct
     (* resolve the collected candidates: dedup within the chunk (the same
        composition is rediscovered through every parallel witness pair),
        drop the ones that cannot materialize, then cache hits immediately
-       and the misses as one (possibly parallel) solving batch *)
+       and the misses as one solving batch *)
     let resolve_chunk () =
       if !chunk_n > 0 then begin
         (* budgets are polled per chunk so a runaway pair cannot exceed its
@@ -868,33 +825,10 @@ module Make (L : LABEL_LOGIC) = struct
             let batch_t0 = Unix.gettimeofday () in
             let solved =
               Obs.Trace.with_span ~cat:"smt"
-                ~args:
-                  [ ("batch_size", Obs.Trace.Int n_to_solve);
-                    ("solver_domains", Obs.Trace.Int t.config.solver_domains) ]
+                ~args:[ ("batch_size", Obs.Trace.Int n_to_solve) ]
                 "smt.solve_batch"
               @@ fun () ->
-              if t.config.solver_domains <= 1 then
-                List.map
-                  (fun (bytes, enc) ->
-                    let formula =
-                      Metrics.time m `Decode (fun () -> t.decode enc)
-                    in
-                    ( bytes,
-                      Metrics.time m `Solve (fun () ->
-                          match Solver.check formula with
-                          | Solver.Sat | Solver.Unknown -> true
-                          | Solver.Unsat -> false) ))
-                  to_solve
-              else
-                (* parallel: decode+solve timed together under the solve
-                   timer (per-domain timers cannot be split).  [solve_batch]
-                   preserves input order, so the verdicts zip back onto
-                   their cache keys positionally. *)
-                Metrics.time m `Solve (fun () ->
-                    List.map2
-                      (fun (bytes, _) (_, ok) -> (bytes, ok))
-                      to_solve
-                      (solve_batch t (List.map snd to_solve)))
+              List.map (fun (bytes, enc) -> (bytes, solve t enc)) to_solve
             in
             if n_to_solve > 0 then
               Metrics.observe_batch m ~n:n_to_solve

@@ -35,7 +35,8 @@ type plan = {
   mutable n_writes : int;
   mutable n_renames : int;
   mutable n_checkpoints : int;
-  mutable n_injected : int;  (* Injected faults fired (crashes excluded) *)
+  mutable n_injected : int;
+      (* injected faults fired, short writes included (crashes excluded) *)
 }
 
 exception Injected of string
@@ -120,6 +121,16 @@ let mix3 a b c =
   let z = (z lxor (z lsr 13)) * 0x5EB2D8C1 in
   (z lxor (z lsr 16)) land 0x3FFFFFFF
 
+(* Deterministic backoff for every retry ladder (storage operations,
+   instance restarts, shard re-dispatches): [base * 2^attempt], scaled by a
+   seeded jitter in [1, 2) so concurrent retries don't run in lockstep, yet
+   a given (seed, attempt) always sleeps the same amount. *)
+let backoff_delay_s ~seed ~base_ms ~attempt =
+  let jitter =
+    1. +. (float_of_int (mix3 seed 0x7e7 attempt mod 1000) /. 1000.)
+  in
+  base_ms /. 1000. *. (2. ** float_of_int attempt) *. jitter
+
 (* A fresh plan with [base]'s directives, zeroed counters, and a seed mixed
    with [salt]: the per-instance plans of the parallel scheduler.  Keying
    the stream off a stable instance identity (not a worker slot) is what
@@ -172,12 +183,23 @@ let nth_hit p kind count =
     (function Nth (k, n) -> k = kind && n = count | Rate _ -> false)
     p.directives
 
-let inject p msg =
+(* Count an injected fault (raised or torn write alike) and mark it in the
+   trace. *)
+let fired p msg =
   p.n_injected <- p.n_injected + 1;
   Obs.Trace.instant ~cat:"faults"
     ~args:[ ("msg", Obs.Trace.Str msg); ("nth", Obs.Trace.Int p.n_injected) ]
-    "fault.injected";
+    "fault.injected"
+
+let inject p msg =
+  fired p msg;
   raise (Injected msg)
+
+(* A torn write: counted like any other injected fault; the caller persists
+   the truncated prefix and fails. *)
+let short p msg =
+  fired p msg;
+  `Short
 
 (* ---------------- hooks called by the storage layer ---------------- *)
 
@@ -202,14 +224,13 @@ let on_write ~path : [ `Ok | `Short ] =
   | Some p ->
       p.n_writes <- p.n_writes + 1;
       let name = Filename.basename path in
-      if nth_hit p Fail_write p.n_writes then
-        inject p (Printf.sprintf "injected write fault #%d on %s" p.n_writes name)
-      else if nth_hit p Short_write p.n_writes then `Short
+      let fault = Printf.sprintf "injected write fault #%d on %s" p.n_writes in
+      let torn = Printf.sprintf "injected short write #%d on %s" p.n_writes in
+      if nth_hit p Fail_write p.n_writes then inject p (fault name)
+      else if nth_hit p Short_write p.n_writes then short p (torn name)
       else if rate_hit p ~stream:2 ~count:p.n_writes then
-        if mix3 p.seed 3 p.n_writes land 1 = 0 then
-          inject p
-            (Printf.sprintf "injected write fault #%d on %s" p.n_writes name)
-        else `Short
+        if mix3 p.seed 3 p.n_writes land 1 = 0 then inject p (fault name)
+        else short p (torn name)
       else `Ok
 
 let before_rename ~path =

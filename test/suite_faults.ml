@@ -427,6 +427,30 @@ let test_short_write_anywhere_manifest () =
     AEngine.cleanup t
   done
 
+(* A torn write is an injected fault like a raised one: it counts in
+   [injected_count], for the Nth-write directive and for the rate plan's
+   torn half alike.  Every injected fault of these runs is retried exactly
+   once, so the count equals the retries. *)
+let test_short_write_counted () =
+  let retries t =
+    Engine.Metrics.count (AEngine.metrics t).Engine.Metrics.retries
+  in
+  with_plan "short-write=3" (fun () ->
+      let t = mk_engine () in
+      seed_chain t 10;
+      AEngine.run t;
+      Alcotest.(check int) "the short write counted" 1
+        (Faults.injected_count ());
+      Alcotest.(check int) "and retried" 1 (retries t);
+      AEngine.cleanup t);
+  with_plan "seed=5,rate=0.3" (fun () ->
+      let t = mk_engine () in
+      seed_chain t 10;
+      AEngine.run t;
+      Alcotest.(check int) "rate plan: every injected fault counted"
+        (retries t) (Faults.injected_count ());
+      AEngine.cleanup t)
+
 (* A run killed in the middle of a journal append leaves a torn record.
    The resumed run must not append behind it — those records would never
    be replayed — so the manifest it finishes with records its fixpoint:
@@ -591,7 +615,9 @@ let check_leak ?(config_f = fun c -> c) ?workdir () =
   let fsm = (Checkers.io ()).Checkers.kind in
   let fsm = match fsm with `Typestate f -> f | _ -> assert false in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let pr = Grapple.Pipeline.check_property prepared fsm in
+  let pr =
+    List.hd (fst (Grapple.Pipeline.check_properties prepared [ fsm ]))
+  in
   let stats = Grapple.Pipeline.stats prepared [ pr ] in
   (prepared, pr, stats)
 
@@ -647,8 +673,9 @@ let test_pipeline_fault_recovers () =
                 { c.Grapple.Pipeline.engine with Engine.max_retries = 0 } })
           ()
       in
-      Alcotest.(check bool) "the fault fired" true
-        (Faults.injected_count () = 1);
+      (* it fires in the instance's derived plan, not the caller's *)
+      Alcotest.(check int) "the fault fired" 1
+        stats.Grapple.Pipeline.n_faults_injected;
       Alcotest.(check string) "warnings identical" expect (rendered pr);
       Alcotest.(check int) "nothing degraded" 0
         stats.Grapple.Pipeline.n_inconclusive;
@@ -787,6 +814,7 @@ let suite =
       test_resume_after_compaction;
     Alcotest.test_case "short write anywhere, manifest exact" `Quick
       test_short_write_anywhere_manifest;
+    Alcotest.test_case "short write counted" `Quick test_short_write_counted;
     Alcotest.test_case "resume behind a torn journal" `Quick
       test_resume_behind_torn_journal;
     Alcotest.test_case "resume with missing partition runs fresh" `Quick

@@ -380,7 +380,9 @@ let run_pipeline ?(summary_prefilter = true) src =
       summary_prefilter }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let pr = Grapple.Pipeline.check_property prepared fsm in
+  let pr =
+    List.hd (fst (Grapple.Pipeline.check_properties prepared [ fsm ]))
+  in
   let stats = Grapple.Pipeline.stats prepared [ pr ] in
   (stats, pr.Grapple.Pipeline.reports)
 

@@ -228,7 +228,7 @@ let counters (s : Pipeline.stats) ~warnings =
    counters are stateful, so a differential comparison needs each run to
    start from the same plan state.  The ambient plan (e.g. the driver's
    GRAPPLE_FAULT_PLAN) is restored afterwards. *)
-let run ?(workers = 1) ?(admission_budget = 0) ?plan ?(resume = false)
+let run ?(workers = 1) ?plan ?(resume = false)
     ?workdir ?(throwers = []) program =
   let workdir = match workdir with Some d -> d | None -> fresh_workdir () in
   let saved = Faults.current () in
@@ -245,7 +245,6 @@ let run ?(workers = 1) ?(admission_budget = 0) ?plan ?(resume = false)
       track_null = true;
       prefilter_properties = Checkers.fsms ();
       workers;
-      admission_budget;
       resume;
       engine =
         { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
@@ -350,14 +349,6 @@ let test_witness_ordering () =
   Alcotest.(check (list (pair string int))) "stable across calls" w
     (Pipeline.witness_of_constraint f)
 
-(* The admission budget serializes the largest instances but never changes
-   the output. *)
-let test_admission_budget () =
-  let program = generated ~seed:22 in
-  let base = run ~workers:1 program in
-  let out = run ~workers:default_workers ~admission_budget:1 program in
-  check_same ~what:"admission budget 1" base out
-
 (* The schedule covers exactly the typestate instances, once each. *)
 let test_schedule_entries () =
   let program = generated ~seed:11 in
@@ -391,38 +382,71 @@ let test_domain_budget_unit () =
       Alcotest.(check int) "exhausted" 0 (Domains.acquire ~max:1);
       Domains.release 2;
       Alcotest.(check int) "zero request" 0 (Domains.acquire ~max:0);
-      (* a reservation takes priority: acquire yields nothing until the
-         reserved slots are released, even though reserve never blocked *)
-      Domains.reserve 2;
-      Alcotest.(check int) "reserved away" 0 (Domains.acquire ~max:1);
-      Domains.release 2;
       Alcotest.(check int) "back after release" 1 (Domains.acquire ~max:1);
       Domains.release 1)
 
-(* W workers x S solver domains must not multiply: with the budget fully
-   reserved by the worker pool, the only domains ever spawned are the pool
-   itself — the engines' batch fan-out degrades to sequential solving. *)
+(* [map] keeps the input order whatever the lanes, hands out lane indices
+   below the grant, and starts no element after one has raised. *)
+let test_domains_map () =
+  with_cap 3 (fun () ->
+      let xs = List.init 50 Fun.id in
+      let lanes = Array.make 50 (-1) in
+      let ys =
+        Domains.map ~lanes:8
+          (fun ~lane x ->
+            lanes.(x) <- lane;
+            x * x)
+          xs
+      in
+      Alcotest.(check (list int)) "input order" (List.map (fun x -> x * x) xs)
+        ys;
+      Alcotest.(check bool) "lanes within the cap" true
+        (Array.for_all (fun l -> l >= 0 && l < 3) lanes);
+      Alcotest.(check int) "slots released" 2 (Domains.acquire ~max:10);
+      Domains.release 2);
+  let started = ref [] in
+  (match
+     Domains.map ~lanes:1
+       (fun ~lane:_ x ->
+         started := x :: !started;
+         if x = 2 then failwith "boom")
+       [ 0; 1; 2; 3; 4 ]
+   with
+  | _ -> Alcotest.fail "the failure was swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check (list int)) "nothing started after the failure"
+    [ 2; 1; 0 ] !started
+
+(* [--workers N] is at most N lanes inside the domain budget: the calling
+   domain is lane 0, so the scheduler spawns min(N, instances, cap) - 1
+   domains. *)
 let test_no_domain_oversubscription () =
   let program = generated ~seed:11 in
-  let workdir = fresh_workdir () in
-  with_cap 1 (fun () ->
-      let config =
-        { (Pipeline.default_config ~workdir) with
-          Pipeline.track_null = true;
-          workers = 2;
-          engine =
-            { (Engine.default_config ~workdir) with
-              Engine.solver_domains = 4;
-              retry_base_ms = 0.01 } }
-      in
-      let before = Domains.n_spawned () in
-      let prepared = Pipeline.prepare ~config ~workdir program in
-      let _, props, _ =
-        Checkers.run_all_scheduled prepared (Checkers.all_with_null ())
-      in
-      ignore (Pipeline.stats prepared props);
-      Alcotest.(check int) "only the worker pool spawned domains" 2
-        (Domains.n_spawned () - before))
+  let spawned ~cap ~workers =
+    let workdir = fresh_workdir () in
+    with_cap cap (fun () ->
+        let config =
+          { (Pipeline.default_config ~workdir) with
+            Pipeline.track_null = true;
+            workers;
+            engine =
+              { (Engine.default_config ~workdir) with
+                Engine.retry_base_ms = 0.01 } }
+        in
+        let before = Domains.n_spawned () in
+        let prepared = Pipeline.prepare ~config ~workdir program in
+        let _, props, _ =
+          Checkers.run_all_scheduled prepared (Checkers.all_with_null ())
+        in
+        ignore (Pipeline.stats prepared props);
+        Domains.n_spawned () - before)
+  in
+  Alcotest.(check int) "cap 1: the calling domain runs everything" 0
+    (spawned ~cap:1 ~workers:2);
+  Alcotest.(check int) "cap 3, workers 2: one extra lane" 1
+    (spawned ~cap:3 ~workers:2);
+  Alcotest.(check int) "cap 3, workers 4: bounded by the cap" 2
+    (spawned ~cap:3 ~workers:4)
 
 (* ---------------- stress: crash, isolation, resume ---------------- *)
 
@@ -491,8 +515,10 @@ let test_crash_isolation_resume () =
     resumed.o_stats.Pipeline.n_inconclusive
 
 let suite =
-  [ Alcotest.test_case "domains: acquire/reserve/release budget" `Quick
+  [ Alcotest.test_case "domains: acquire/release budget" `Quick
       test_domain_budget_unit;
+    Alcotest.test_case "domains: map order, lanes and failure" `Quick
+      test_domains_map;
     Alcotest.test_case "domains: workers pin total spawn count" `Quick
       test_no_domain_oversubscription;
     Alcotest.test_case "differential: example subjects" `Quick
@@ -505,8 +531,6 @@ let suite =
       test_repeatability_same_count;
     Alcotest.test_case "determinism: witness ordering" `Quick
       test_witness_ordering;
-    Alcotest.test_case "determinism: admission budget" `Quick
-      test_admission_budget;
     Alcotest.test_case "schedule entries cover the instances" `Quick
       test_schedule_entries;
     Alcotest.test_case "stress: crash, isolation, resume" `Quick

@@ -164,7 +164,7 @@ let run_pipeline ?(alias_prefilter = true) ?(workers = 1) ?fsms src =
       workers }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let prs = List.map (Grapple.Pipeline.check_property prepared) fsms in
+  let prs, _ = Grapple.Pipeline.check_properties prepared fsms in
   let stats = Grapple.Pipeline.stats prepared prs in
   (stats, List.concat_map (fun pr -> pr.Grapple.Pipeline.reports) prs)
 

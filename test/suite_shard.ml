@@ -435,6 +435,63 @@ let test_shard_degrade_to_inconclusive () =
   Alcotest.(check bool) "inconclusive reports are visible in the output" true
     (contains rendered "inconclusive")
 
+(* Budget exhaustion degrades an instance through the one shared path,
+   whichever executor ran it: in-process and at two shard processes, the
+   same [Inconclusive] reports, the same stats counters, and every
+   degraded instance's [df-<name>] workdir swept. *)
+let test_budget_degrade_both_executors () =
+  let program = Suite_parallel.generated ~seed:11 in
+  let run procs =
+    let workdir = fresh_workdir () in
+    let config =
+      { (Pipeline.default_config ~workdir) with
+        Pipeline.track_null = true;
+        prefilter_properties = Checkers.fsms ();
+        instance_edge_budget = 1;
+        max_retries = 0;
+        shard_procs = procs;
+        heartbeat_ms = 20.;
+        engine =
+          { (Engine.default_config ~workdir) with
+            Engine.retry_base_ms = 0.01 } }
+    in
+    let prepared = Pipeline.prepare ~config ~workdir program in
+    let results, props, _ =
+      Checkers.run_all_scheduled prepared (Checkers.all_with_null ())
+    in
+    let stats = Pipeline.stats prepared props in
+    let warnings =
+      List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 results
+    in
+    let left =
+      List.concat_map
+        (fun (pr : Pipeline.property_result) ->
+          let name = pr.Pipeline.fsm.Fsm.name in
+          let dir = Filename.concat workdir ("df-" ^ name) in
+          if Sys.file_exists dir then
+            List.map (fun f -> name ^ "/" ^ f) (Array.to_list (Sys.readdir dir))
+          else [])
+        props
+    in
+    ( Suite_parallel.render results,
+      Printf.sprintf "%s bytes_read=%d bytes_written=%d"
+        (Suite_parallel.counters stats ~warnings)
+        stats.Pipeline.bytes_read stats.Pipeline.bytes_written,
+      stats.Pipeline.n_inconclusive,
+      left )
+  in
+  let text0, counters0, inconclusive0, left0 = run 0 in
+  let text2, counters2, inconclusive2, left2 = run 2 in
+  Alcotest.(check int) "every typestate instance degraded" 4 inconclusive0;
+  Alcotest.(check bool) "inconclusive reports in the output" true
+    (contains text0 "inconclusive");
+  Alcotest.(check string) "reports: p2 = in-process" text0 text2;
+  Alcotest.(check string) "stats: p2 = in-process" counters0 counters2;
+  Alcotest.(check int) "inconclusive: p2 = in-process" inconclusive0
+    inconclusive2;
+  Alcotest.(check (list string)) "in-process workdirs swept" [] left0;
+  Alcotest.(check (list string)) "p2 workdirs swept" [] left2
+
 (* ---------------- frame checksums ---------------- *)
 
 (* A damaged frame must never reach [Marshal]: the worker-side blocking
@@ -496,6 +553,8 @@ let suite =
       test_shard_crash_mid_instance;
     Alcotest.test_case "degraded mode: inconclusive past the limit" `Quick
       test_shard_degrade_to_inconclusive;
+    Alcotest.test_case "degraded mode: budget, both executors" `Quick
+      test_budget_degrade_both_executors;
     Alcotest.test_case "frame checksum: corruption is a dead peer" `Quick
       test_frame_checksum_detects_corruption;
     (* last: it spawns domains, after which this process can no longer
